@@ -178,7 +178,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 // BenchmarkParallelModelQFT measures one parallel-model evaluation of the
 // largest Table II workload (QFT: 4032 2-qubit gates) on the kernelized
 // hot path: the flat-array evaluator is built once (as core.Run does per
-// circuit) and each op re-evaluates it against the layout.
+// circuit) and each op binds it to the layout and folds the makespan.
 func BenchmarkParallelModelQFT(b *testing.B) {
 	spec := apps.PaperSpecs()[3]
 	d, err := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
@@ -199,14 +199,19 @@ func BenchmarkParallelModelQFT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ev.ParallelTime(layout, lat) <= 0 {
+		bd, err := ev.Bind(layout)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bd.ParallelTime(lat) <= 0 {
 			b.Fatal("bad time")
 		}
 	}
 }
 
-// BenchmarkLegacyParallelModelQFT pins the pre-kernelization map-graph
-// path (perf.ParallelTime) so the evaluator's advantage stays measurable.
+// BenchmarkLegacyParallelModelQFT measures the same evaluation through the
+// reference walk (perf.ParallelTime), which allocates per call, so the
+// evaluator's advantage stays measurable.
 func BenchmarkLegacyParallelModelQFT(b *testing.B) {
 	spec := apps.PaperSpecs()[3]
 	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
@@ -228,8 +233,8 @@ func BenchmarkLegacyParallelModelQFT(b *testing.B) {
 
 // BenchmarkGateGraphConstruction measures the paper's directed-graph
 // representation build (§IV-C) plus longest path for the QFT workload —
-// one full from-scratch construction per op, now through the CSR
-// evaluator kernel instead of the map-based dag.Graph.
+// one full from-scratch construction per op through the CSR evaluator
+// kernel.
 func BenchmarkGateGraphConstruction(b *testing.B) {
 	spec := apps.PaperSpecs()[3]
 	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
@@ -246,28 +251,6 @@ func BenchmarkGateGraphConstruction(b *testing.B) {
 		ev := perf.NewEvaluator(c)
 		if ev.LongestPath(layout, lat) <= 0 {
 			b.Fatal("bad length")
-		}
-	}
-}
-
-// BenchmarkLegacyGateGraphConstruction pins the original map-based graph
-// build (perf.BuildGateGraph + Kahn longest path) for comparison.
-func BenchmarkLegacyGateGraphConstruction(b *testing.B) {
-	spec := apps.PaperSpecs()[3]
-	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
-	r := stats.NewRand(1)
-	layout, _ := RandomPlacement.Place(d, spec.Qubits, r)
-	c, err := schedule.Random{}.Place(spec, layout, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lat := perf.DefaultLatencies()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := perf.BuildGateGraph(c, layout, lat)
-		if _, err := g.LongestPath(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

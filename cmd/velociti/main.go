@@ -270,8 +270,9 @@ func run(args []string, out io.Writer) error {
 				breakEven)
 		}
 		if *dotPath != "" {
-			g := perf.BuildGateGraph(c, layout, cfg.Latencies)
-			if err := os.WriteFile(*dotPath, []byte(g.DOT(report.Spec.Name)), 0o644); err != nil {
+			ev := perf.NewEvaluator(c)
+			g := ev.GateGraph(layout, cfg.Latencies)
+			if err := os.WriteFile(*dotPath, []byte(g.DOT(report.Spec.Name, ev.Labels())), 0o644); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote dependency graph to %s\n", *dotPath)

@@ -384,20 +384,13 @@ func RunOnce(cfg Config, seed int64) (*circuit.Circuit, *ti.Layout, perf.Result,
 			}
 		}
 	}
+	b, err := perf.NewEvaluator(c).Bind(layout)
+	if err == nil {
+		err = cfg.Backend.Prepare(b, layout)
+	}
 	var res perf.Result
-	if _, weak := cfg.Backend.(perf.WeakLink); weak {
-		// The classic path: bind-and-price in one call.
-		res, err = perf.Evaluate(c, layout, cfg.Latencies)
-	} else {
-		var b *perf.Binding
-		ev := perf.NewEvaluator(c)
-		b, err = ev.Bind(layout)
-		if err == nil {
-			err = cfg.Backend.Prepare(b, layout)
-		}
-		if err == nil {
-			res, err = cfg.Backend.Time(b, cfg.Latencies)
-		}
+	if err == nil {
+		res, err = cfg.Backend.Time(b, cfg.Latencies)
 	}
 	if err != nil {
 		return nil, nil, perf.Result{}, err

@@ -79,17 +79,17 @@ func NewPipelineCapacity(perStage int) *Pipeline {
 }
 
 // StageStats is a point-in-time snapshot of a pipeline's per-stage cache
-// counters. Time is not listed: it is the parametric step that is always
-// recomputed.
+// counters; velociti-serve's /metrics reports it as is. Time is not
+// listed: it is the parametric step that is always recomputed.
 type StageStats struct {
-	Synthesize cache.Stats
-	Place      cache.Stats
-	Search     cache.Stats
-	Bind       cache.Stats
+	Place      cache.Stats `json:"place"`
+	Synthesize cache.Stats `json:"synthesize"`
+	Search     cache.Stats `json:"search"`
+	Bind       cache.Stats `json:"bind"`
 	// Stream counts the fused streaming-evaluation stage (place + emit +
 	// price in one pass); unlike the others its artifacts are
 	// latency-bearing, so keys embed the priced lats.
-	Stream cache.Stats
+	Stream cache.Stats `json:"stream"`
 }
 
 // Stats snapshots the per-stage counters.

@@ -1,16 +1,22 @@
+// Package dag holds the weighted-graph kernels of VelociTI's parallel
+// performance model (§IV-C/D of the paper): a compressed-sparse-row (CSR)
+// snapshot of the gate dependency graph, its longest weighted path — the
+// circuit's parallel execution time — and an incremental evaluator of that
+// path under edge-weight changes (delta.go).
+//
+// Every CSR here is in program order: node ids are dense [0, NumNodes),
+// and every edge points from a lower to a higher id, so one ascending pass
+// is a topological traversal.
 package dag
 
-// This file holds the index-based longest-path kernel the performance
-// model's hot path runs on. The map-backed Graph is convenient to build and
-// mutate, but the evaluation loop (35 randomized trials per data point,
-// thousands of data points per sweep) only ever needs one read-only
-// traversal per graph — for that, a compressed-sparse-row layout over dense
-// int32 ids beats pointer-chasing through maps by an order of magnitude and
-// allocates nothing when the caller reuses a Scratch.
+import (
+	"fmt"
+	"strings"
+)
 
-// CSR is a compressed-sparse-row snapshot of a weighted directed graph.
-// Node ids are dense [0, NumNodes). The successors of node u are
-// Targets[Heads[u]:Heads[u+1]] with matching edge weights in
+// CSR is a compressed-sparse-row snapshot of a weighted directed graph
+// whose edges all point forward (source id < target id). The successors
+// of node u are Targets[Heads[u]:Heads[u+1]] with matching edge weights in
 // Weights[Heads[u]:Heads[u+1]].
 type CSR struct {
 	// Heads has length NumNodes+1; Heads[0] is 0 and Heads[len(Heads)-1]
@@ -20,11 +26,6 @@ type CSR struct {
 	Targets []int32
 	// Weights holds the edge weight parallel to Targets.
 	Weights []float64
-	// Forward records that every edge satisfies source < target, i.e. the
-	// node numbering is already a topological order. Builders that emit
-	// gates in program order (the performance model does) set it to let
-	// LongestPath skip Kahn's algorithm entirely.
-	Forward bool
 }
 
 // NumNodes returns the number of nodes in the snapshot.
@@ -38,133 +39,76 @@ func (c *CSR) NumNodes() int {
 // NumEdges returns the number of edges in the snapshot.
 func (c *CSR) NumEdges() int { return len(c.Targets) }
 
-// CSR converts the graph into its compressed-sparse-row form. Successors of
-// each node appear in ascending target order, matching Successors. Forward
-// is set when every edge points from a lower to a higher id.
-func (g *Graph) CSR() CSR {
-	n := len(g.labels)
-	heads := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		heads[u+1] = heads[u] + int32(len(g.succ[u]))
-	}
-	targets := make([]int32, g.edges)
-	weights := make([]float64, g.edges)
-	forward := true
-	for u := 0; u < n; u++ {
-		at := heads[u]
-		for _, v := range g.Successors(u) {
-			targets[at] = int32(v)
-			weights[at] = g.succ[u][v]
-			if v <= u {
-				forward = false
-			}
-			at++
-		}
-	}
-	return CSR{Heads: heads, Targets: targets, Weights: weights, Forward: forward}
-}
-
-// Scratch holds the reusable working memory of the CSR kernels. The zero
-// value is ready to use; buffers grow on demand and are retained across
-// calls, so a Scratch kept in a sync.Pool makes repeated longest-path
+// Scratch holds the reusable working memory of LongestPath. The zero value
+// is ready to use; its buffer grows on demand and is retained across
+// calls, so a Scratch kept by the caller makes repeated longest-path
 // evaluations allocation-free.
 type Scratch struct {
-	dist  []float64
-	indeg []int32
-	queue []int32
-}
-
-// grow returns the three buffers sized for n nodes, reusing capacity.
-func (s *Scratch) grow(n int) (dist []float64, indeg, queue []int32) {
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-		s.indeg = make([]int32, n)
-		s.queue = make([]int32, 0, n)
-	}
-	s.dist = s.dist[:n]
-	s.indeg = s.indeg[:n]
-	for i := range s.dist {
-		s.dist[i] = 0
-		s.indeg[i] = 0
-	}
-	return s.dist, s.indeg, s.queue[:0]
+	dist []float64
 }
 
 // LongestPath computes the maximum total edge weight over all directed
-// paths in the snapshot — the same quantity as Graph.LongestPath().Length,
-// without building path bookkeeping. scratch may be nil (a temporary one is
-// used); passing one kept in a pool makes the call allocation-free. Returns
-// ErrCycle when the snapshot is cyclic.
-func (c *CSR) LongestPath(scratch *Scratch) (float64, error) {
+// paths in the snapshot, in one forward pass. scratch may be nil (a
+// temporary one is used).
+func (c *CSR) LongestPath(scratch *Scratch) float64 {
+	best, _ := c.LongestPathInto(scratch)
+	return best
+}
+
+// LongestPathInto is LongestPath that additionally returns the per-node
+// distances (heaviest path ending at each node). The slice aliases
+// scratch's buffer and is valid until the next call using the same
+// Scratch.
+func (c *CSR) LongestPathInto(scratch *Scratch) (float64, []float64) {
 	n := c.NumNodes()
-	if n == 0 {
-		return 0, nil
-	}
 	if scratch == nil {
 		scratch = &Scratch{}
 	}
-	if c.Forward {
-		dist, _, _ := scratch.grow(n)
-		best := 0.0
-		for u := 0; u < n; u++ {
-			du := dist[u]
-			if du > best {
-				best = du
-			}
-			for i := c.Heads[u]; i < c.Heads[u+1]; i++ {
-				v := c.Targets[i]
-				if d := du + c.Weights[i]; d > dist[v] {
-					dist[v] = d
-				}
-			}
-		}
-		return best, nil
+	if cap(scratch.dist) < n {
+		scratch.dist = make([]float64, n)
 	}
-	dist, indeg, queue := scratch.grow(n)
-	for _, v := range c.Targets {
-		indeg[v]++
-	}
-	for u := 0; u < n; u++ {
-		if indeg[u] == 0 {
-			queue = append(queue, int32(u))
-		}
+	dist := scratch.dist[:n]
+	for i := range dist {
+		dist[i] = 0
 	}
 	best := 0.0
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
+	for u := 0; u < n; u++ {
 		du := dist[u]
 		if du > best {
 			best = du
 		}
 		for i := c.Heads[u]; i < c.Heads[u+1]; i++ {
-			v := c.Targets[i]
-			if d := du + c.Weights[i]; d > dist[v] {
-				dist[v] = d
-			}
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
+			if d := du + c.Weights[i]; d > dist[c.Targets[i]] {
+				dist[c.Targets[i]] = d
 			}
 		}
 	}
-	scratch.queue = queue
-	if processed != n {
-		return 0, ErrCycle
-	}
-	return best, nil
+	return best, dist
 }
 
-// LongestPathInto runs the kernel and additionally exposes the per-node
-// distances (heaviest path ending at each node) in scratch's dist buffer.
-// The returned slice aliases scratch and is valid until the next call using
-// the same Scratch. scratch must not be nil.
-func (c *CSR) LongestPathInto(scratch *Scratch) (float64, []float64, error) {
-	best, err := c.LongestPath(scratch)
-	if err != nil {
-		return 0, nil, err
+// DOT renders the graph in Graphviz DOT format, node i labelled labels[i].
+// Start nodes — nodes no edge enters — are drawn with a double circle,
+// matching the paper's Figure 3 convention; edges are labelled with their
+// weights.
+func (c *CSR) DOT(name string, labels []string) string {
+	entered := make([]bool, c.NumNodes())
+	for _, v := range c.Targets {
+		entered[v] = true
 	}
-	return best, scratch.dist[:c.NumNodes()], nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n", name)
+	for id, label := range labels {
+		shape := "doublecircle"
+		if entered[id] {
+			shape = "circle"
+		}
+		fmt.Fprintf(&b, "  n%d [label=%q shape=%s];\n", id, label, shape)
+	}
+	for u := 0; u < c.NumNodes(); u++ {
+		for i := c.Heads[u]; i < c.Heads[u+1]; i++ {
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", u, c.Targets[i], fmt.Sprintf("%g", c.Weights[i]))
+		}
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

@@ -32,8 +32,7 @@ import (
 // propagation for one full forward pass.
 const defaultConeDivisor = 2
 
-// Delta is an incremental longest-path evaluator over one Forward CSR
-// snapshot. It owns the snapshot's Weights slice: after NewDelta the caller
+// Delta is an incremental longest-path evaluator over one CSR snapshot. It owns the snapshot's Weights slice: after NewDelta the caller
 // must route every weight change through SetWeight. A Delta is stateful and
 // not safe for concurrent use.
 type Delta struct {
@@ -69,12 +68,16 @@ type Delta struct {
 }
 
 // NewDelta builds the incremental evaluator and runs the initial full
-// evaluation. The snapshot must be Forward (node ids topologically ordered);
-// Delta takes ownership of c.Weights.
+// evaluation. Every edge of the snapshot must point forward (node ids
+// topologically ordered); Delta takes ownership of c.Weights.
 func NewDelta(c CSR) (*Delta, error) {
 	n := c.NumNodes()
-	if !c.Forward && n > 0 {
-		return nil, fmt.Errorf("dag: delta evaluation requires a Forward CSR")
+	for u := 0; u < n; u++ {
+		for e := c.Heads[u]; e < c.Heads[u+1]; e++ {
+			if int(c.Targets[e]) <= u {
+				return nil, fmt.Errorf("dag: delta evaluation requires forward edges, got %d -> %d", u, c.Targets[e])
+			}
+		}
 	}
 	d := &Delta{
 		heads:   c.Heads,
@@ -204,9 +207,8 @@ func (d *Delta) Refresh() float64 {
 	return d.Best()
 }
 
-// recomputeFull runs the plain forward relaxation (CSR.LongestPath's
-// Forward branch) over the current weights, rebuilds the segment tree, and
-// clears the dirty set.
+// recomputeFull runs the plain forward relaxation (CSR.LongestPath) over
+// the current weights, rebuilds the segment tree, and clears the dirty set.
 func (d *Delta) recomputeFull() {
 	for i := range d.dist {
 		d.dist[i] = 0
@@ -272,7 +274,7 @@ func (d *Delta) push(v int32) {
 }
 
 // pop removes and returns the smallest stale node id. Popping in ascending
-// id order over a Forward CSR guarantees every predecessor of the popped
+// id order over a forward CSR guarantees every predecessor of the popped
 // node is already final — staleness only ever propagates to higher ids.
 func (d *Delta) pop() int32 {
 	u := d.dirty[0]

@@ -107,50 +107,20 @@ func (m Model) Estimate(c *circuit.Circuit, l *ti.Layout, lat perf.Latencies) (E
 	if c.NumQubits() > l.NumQubits() {
 		return Estimate{}, fmt.Errorf("fidelity: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
 	}
-	var logGate, logWeak, expected float64
-	for _, g := range c.Gates() {
-		var eps float64
-		switch {
-		case !g.IsTwoQubit():
-			eps = m.OneQubitError
-		case l.SameChain(g.Qubits[0], g.Qubits[1]):
-			eps = m.TwoQubitError
-		default:
-			eps = m.WeakLinkError
-		}
-		expected += eps
-		lg := math.Log1p(-eps)
-		logGate += lg
-		if g.IsTwoQubit() && !l.SameChain(g.Qubits[0], g.Qubits[1]) {
-			logWeak += lg
-		}
+	b, err := perf.NewEvaluator(c).Bind(l)
+	if err != nil {
+		return Estimate{}, err
 	}
-	makespan := perf.ParallelTime(c, l, lat)
-	// Every qubit dephases for the full window; busy time is not
-	// protected, which errs conservative.
-	logCoherence := -float64(c.NumQubits()) * makespan / m.T2Micros
-	est := Estimate{
-		GateFidelity:      math.Exp(logGate),
-		CoherenceFidelity: math.Exp(logCoherence),
-		LogTotal:          logGate + logCoherence,
-		ExpectedErrors:    expected,
-		MakespanMicros:    makespan,
-	}
-	est.Total = math.Exp(est.LogTotal)
-	if logGate != 0 {
-		est.WeakGateErrorShare = logWeak / logGate
-	}
-	return est, nil
+	return m.estimateBindingMakespan(b, b.ParallelTime(lat)), nil
 }
 
 // EstimateBinding computes the same success-probability breakdown from a
-// stage-pipeline binding: the per-gate latency classes already encode
-// exactly the 1q / intra-chain / weak-link distinction the error model
-// prices, and the classes are iterated in gate order, so every log-space
-// sum — and therefore every field of the Estimate — is bit-identical to
-// Estimate on the (circuit, layout) pair the binding was built from.
-// Sweep engines reuse one binding across latency models; only the
-// makespan-dependent dephasing term is re-priced per model.
+// stage-pipeline binding: the per-gate latency classes encode exactly the
+// 1q / intra-chain / weak-link distinction the error model prices, so it
+// equals Estimate on the (circuit, layout) pair the binding was built
+// from — Estimate is Bind followed by this. Sweep engines reuse one
+// binding across latency models; only the makespan-dependent dephasing
+// term is re-priced per model.
 func (m Model) EstimateBinding(b *perf.Binding, lat perf.Latencies) (Estimate, error) {
 	if err := m.Validate(); err != nil {
 		return Estimate{}, err

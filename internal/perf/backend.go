@@ -82,7 +82,7 @@ func (WeakLink) Time(b *Binding, lat Latencies) (Result, error) { return b.Time(
 func (WeakLink) TimeAll(b *Binding, lats []Latencies) ([]Result, error) { return b.TimeAll(lats) }
 
 // StreamTimeAll prices a gate stream directly (the SourceTimer
-// capability) via the frontier kernel in stream.go.
+// capability) via the fold's stream driver in stream.go.
 func (WeakLink) StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result, StreamStats, error) {
 	return StreamTimeAll(src, l, lats)
 }

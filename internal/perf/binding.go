@@ -1,17 +1,16 @@
 package perf
 
 // This file splits the evaluator's hot path at the point where the timing
-// model enters. Evaluate classifies every gate against a layout (1-qubit,
-// 2-qubit intra-chain, or 2-qubit weak-link) and then prices the classes
-// under one Latencies. The classification — Bind — depends only on
-// (circuit, layout); the pricing — Time — is where α and the other
+// model enters. Bind classifies every gate against a layout (1-qubit,
+// 2-qubit intra-chain, or 2-qubit weak-link); the classification depends
+// only on (circuit, layout). The pricing — Time — is where α and the other
 // Table III knobs appear. Separating the two lets sweep engines reuse one
 // Binding across every α cell (internal/core's stage pipeline caches them)
-// and lets TimeAll price many latency models in a single pass over the
-// gate list instead of one independent dynamic program per model.
+// and lets TimeAll price many latency models in one fold (fold.go) over the
+// gate list instead of one pass per model.
 //
-// Bit-exactness contract: Binding.Time(lat) equals Evaluator.Evaluate(l,
-// lat) field for field — including float bit patterns and critical-path
+// Bit-exactness contract: Binding.Time(lat) equals Evaluate(c, l, lat)
+// field for field — including float bit patterns and critical-path
 // tie-breaking — and TimeAll(lats)[i] equals Time(lats[i]). The property
 // tests pin both.
 
@@ -64,9 +63,9 @@ func (e *Evaluator) Bind(l *ti.Layout) (*Binding, error) {
 	}
 	b := &Binding{ev: e, classes: make([]GateClass, e.n)}
 	// One walk both classifies gates and tallies Table I's w (distinct
-	// weak links used): the chain pair is resolved once per gate instead
-	// of re-deriving it in a second linksUsed pass. The pair→link table
-	// mirrors linksUsed exactly, so the counts agree.
+	// weak links used): the chain pair is resolved once per gate. The
+	// pair→link table keeps the lowest-numbered link joining each pair,
+	// exactly LinksUsed's rule, so the counts agree.
 	s, pairLink, used, nc := newBindScratch(l)
 	// chainOf is indexed directly: qa/qb were range-checked when the gates
 	// were appended, and a fresh classes slice is already ClassOneQ (zero),
@@ -215,9 +214,9 @@ func (b *Binding) WeakGates() int { return b.weak }
 // LinksUsed returns Table I's w: distinct weak links used by placement.
 func (b *Binding) LinksUsed() int { return b.links }
 
-// lut returns the per-class latency table for one timing model. The weak
-// entry is computed exactly as gateLatencies computes it (one multiply), so
-// priced latencies are bit-identical to the classic path.
+// classLatencies returns the per-class latency table for one timing model.
+// The weak entry is one multiply, exactly as Latencies.GateLatency computes
+// it, so priced latencies are bit-identical to the reference.
 func classLatencies(lat Latencies) [numClasses]float64 {
 	return [numClasses]float64{
 		ClassOneQ:      lat.OneQubit,
@@ -226,47 +225,9 @@ func classLatencies(lat Latencies) [numClasses]float64 {
 	}
 }
 
-// sweepScratch is the pooled working memory of a multi-latency evaluation:
-// lane-interleaved finish/prev buffers (gate-major, so one gate's lanes sit
-// contiguously) plus the shared last-writer table.
-type sweepScratch struct {
-	finish []float64
-	prev   []int32
-	last   []int32
-	luts   []float64 // flat per-lane class-latency tables (NumGateClasses × lanes)
-	busy   []float64 // per-(segment, lane) busy-until times for transport contention
-}
-
-var sweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
-
-// growLuts sizes the flat per-lane latency table for nl lanes.
-func (s *sweepScratch) growLuts(nl int) []float64 {
-	if cap(s.luts) < NumGateClasses*nl {
-		s.luts = make([]float64, NumGateClasses*nl)
-	}
-	s.luts = s.luts[:NumGateClasses*nl]
-	return s.luts
-}
-
-func (s *sweepScratch) grow(cells, qubits int) {
-	if cap(s.finish) < cells {
-		s.finish = make([]float64, cells)
-		s.prev = make([]int32, cells)
-	}
-	s.finish = s.finish[:cells]
-	s.prev = s.prev[:cells]
-	if cap(s.last) < qubits {
-		s.last = make([]int32, qubits)
-	}
-	s.last = s.last[:qubits]
-	for i := range s.last {
-		s.last[i] = -1
-	}
-}
-
 // Time prices the binding under one timing model. The Result is exactly
-// equal — bit for bit, critical path included — to
-// Evaluator.Evaluate(layout, lat) on the layout the binding was built from.
+// equal — bit for bit, critical path included — to Evaluate on the circuit
+// and layout the binding was built from.
 func (b *Binding) Time(lat Latencies) (Result, error) {
 	res, err := b.TimeAll([]Latencies{lat})
 	if err != nil {
@@ -275,231 +236,55 @@ func (b *Binding) Time(lat Latencies) (Result, error) {
 	return res[0], nil
 }
 
-// TimeAll prices the binding under every timing model in lats with one pass
-// over the gate list: the dependency traversal, last-writer tracking, and
-// class lookups are shared across models, and per-model finish times run in
-// interleaved lanes over pooled scratch. TimeAll(lats)[i] is exactly equal
-// to Time(lats[i]) — this is the parametric kernel behind α sweeps, where
-// the models differ only in WeakPenalty.
+// TimeAll prices the binding under every timing model in lats with one
+// fold over the gate list, one lane per model. TimeAll(lats)[i] is exactly
+// equal to Time(lats[i]) — this is the parametric kernel behind α sweeps,
+// where the models differ only in WeakPenalty.
 func (b *Binding) TimeAll(lats []Latencies) ([]Result, error) {
-	nl := len(lats)
-	if nl == 0 {
+	if len(lats) == 0 {
 		return nil, fmt.Errorf("perf: TimeAll requires at least one timing model")
 	}
+	if err := validateAll(lats); err != nil {
+		return nil, err
+	}
+	return b.price(lats, nil), nil
+}
+
+// validateAll validates every timing model in order.
+func validateAll(lats []Latencies) error {
 	for _, lat := range lats {
 		if err := lat.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	e := b.ev
-	w := b.links
-	if w > e.twoQGates {
-		w = e.twoQGates
-	}
-	results := make([]Result, nl)
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		luts[j] = classLatencies(lat)
-		results[j] = Result{
-			SerialMicros: SerialTimeFromCounts(e.oneQGates, e.twoQGates, w, lat),
-			WeakGates:    b.weak,
-			LinksUsed:    b.links,
-		}
-	}
-	if e.n == 0 {
-		return results, nil
-	}
-
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n*nl, e.c.NumQubits())
-	finish, prev, last := s.finish, s.prev, s.last
-
-	// serial accumulates the per-gate-charged serial worst case per lane in
-	// gate order — the same addition order Evaluate uses, so sums match bit
-	// for bit. total/best track the makespan and its final gate per lane
-	// with Evaluate's strict-> tie-breaking (first maximum wins).
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-	best := make([]int32, nl)
-
-	for i := 0; i < e.n; i++ {
-		p0 := last[e.qa[i]]
-		p1 := int32(-1)
-		if qb := e.qb[i]; qb >= 0 {
-			p1 = last[qb]
-		}
-		class := b.classes[i]
-		base := i * nl
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			pr := int32(-1)
-			if p0 >= 0 && finish[int(p0)*nl+j] > ready {
-				ready = finish[int(p0)*nl+j]
-				pr = p0
-			}
-			if p1 >= 0 && finish[int(p1)*nl+j] > ready {
-				ready = finish[int(p1)*nl+j]
-				pr = p1
-			}
-			d := luts[j][class]
-			f := ready + d
-			finish[base+j] = f
-			prev[base+j] = pr
-			serial[j] += d
-			if f > total[j] {
-				total[j] = f
-				best[j] = int32(i)
-			}
-		}
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-	}
-
-	labels := e.Labels()
-	for j := 0; j < nl; j++ {
-		results[j].SerialPerGateMicros = serial[j]
-		results[j].ParallelMicros = total[j]
-		depth := 0
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth++
-		}
-		path := make([]string, depth)
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth--
-			path[depth] = labels[at]
-		}
-		results[j].CriticalPath = path
-	}
-	sweepPool.Put(s)
-	return results, nil
+	return nil
 }
 
 // ParallelTime prices only the parallel model — the makespan under ASAP
 // scheduling — for one timing model, with no critical-path bookkeeping. It
 // equals Time(lat).ParallelMicros exactly; fidelity estimation uses it for
-// the dephasing window.
+// the dephasing window. Like ParallelTimeAll, it assumes a validated
+// timing model.
 func (b *Binding) ParallelTime(lat Latencies) float64 {
-	e := b.ev
-	if e.n == 0 {
-		return 0
-	}
-	lut := classLatencies(lat)
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n, e.c.NumQubits())
-	finish, last := s.finish, s.last
-	total := 0.0
-	for i := 0; i < e.n; i++ {
-		ready := 0.0
-		if p := last[e.qa[i]]; p >= 0 && finish[p] > ready {
-			ready = finish[p]
-		}
-		if qb := e.qb[i]; qb >= 0 {
-			if p := last[qb]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		f := ready + lut[b.classes[i]]
-		finish[i] = f
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-		if f > total {
-			total = f
-		}
-	}
-	sweepPool.Put(s)
-	return total
+	var dst [1]float64
+	b.makespans([]Latencies{lat}, dst[:])
+	return dst[0]
 }
 
 // ParallelTimeAll prices the makespan under every timing model in lats with
-// one pass over the gate list — the batched counterpart of ParallelTime,
-// sharing the dependency traversal and last-writer tracking across models
-// the way TimeAll does, but with none of the serial or critical-path
-// bookkeeping. dst is reused when it has capacity; the returned slice has
-// len(lats), and entry j equals ParallelTime(lats[j]) bit for bit (same
-// per-gate comparison order, same strict-> maximum tracking). Like
-// ParallelTime, it assumes already validated timing models.
+// one fold — the batched counterpart of ParallelTime, with none of the
+// critical-path bookkeeping. dst is reused when it has capacity; the
+// returned slice has len(lats), and entry j equals ParallelTime(lats[j])
+// bit for bit. Like ParallelTime, it assumes already validated timing
+// models.
 func (b *Binding) ParallelTimeAll(lats []Latencies, dst []float64) []float64 {
 	nl := len(lats)
 	if cap(dst) < nl {
 		dst = make([]float64, nl)
 	}
 	dst = dst[:nl]
-	if nl == 0 {
-		return dst
+	if nl > 0 {
+		b.makespans(lats, dst)
 	}
-	if nl == 1 {
-		dst[0] = b.ParallelTime(lats[0])
-		return dst
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	e := b.ev
-	if e.n == 0 {
-		return dst
-	}
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n*nl, e.c.NumQubits())
-	luts := s.growLuts(nl)
-	for j, lat := range lats {
-		cl := classLatencies(lat)
-		copy(luts[j*NumGateClasses:], cl[:])
-	}
-	finish, last := s.finish, s.last
-	for i := 0; i < e.n; i++ {
-		p0 := last[e.qa[i]]
-		p1 := int32(-1)
-		if qb := e.qb[i]; qb >= 0 {
-			p1 = last[qb]
-		}
-		class := int(b.classes[i])
-		// Hoisted per-gate row views: one multiply per predecessor instead
-		// of one per (predecessor, lane). The lane loop's comparison order
-		// is unchanged, so results stay bit-identical to ParallelTime.
-		var f0, f1 []float64
-		if p0 >= 0 {
-			f0 = finish[int(p0)*nl : int(p0)*nl+nl]
-		}
-		if p1 >= 0 {
-			f1 = finish[int(p1)*nl : int(p1)*nl+nl]
-		}
-		row := finish[i*nl : i*nl+nl]
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			if f0 != nil && f0[j] > ready {
-				ready = f0[j]
-			}
-			if f1 != nil && f1[j] > ready {
-				ready = f1[j]
-			}
-			f := ready + luts[j*NumGateClasses+class]
-			row[j] = f
-			if f > dst[j] {
-				dst[j] = f
-			}
-		}
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-	}
-	sweepPool.Put(s)
 	return dst
-}
-
-// EvaluateAll runs both performance models for one layout under every
-// timing model in lats, sharing the gate classification and the dependency
-// traversal across models. EvaluateAll(l, lats)[i] is exactly equal to
-// Evaluate(l, lats[i]); with the models of an α sweep it replaces len(lats)
-// independent dynamic programs by one multi-lane pass.
-func (e *Evaluator) EvaluateAll(l *ti.Layout, lats []Latencies) ([]Result, error) {
-	b, err := e.Bind(l)
-	if err != nil {
-		return nil, err
-	}
-	return b.TimeAll(lats)
 }

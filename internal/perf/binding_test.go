@@ -25,7 +25,7 @@ func sweepLats(alphas []float64) []perf.Latencies {
 	return lats
 }
 
-// checkKernel pins the stage-split API against the classic path for one
+// checkKernel pins the stage-split API against the reference for one
 // placed circuit: Bind+Time ≡ Evaluate field for field, and TimeAll lanes ≡
 // the corresponding Time calls.
 func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lats []perf.Latencies) {
@@ -37,7 +37,7 @@ func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat
 	}
 	want := make([]perf.Result, len(lats))
 	for i, lat := range lats {
-		want[i], err = e.Evaluate(l, lat)
+		want[i], err = perf.Evaluate(c, l, lat)
 		if err != nil {
 			t.Fatalf("%s: Evaluate: %v", tag, err)
 		}
@@ -59,13 +59,6 @@ func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat
 	}
 	if !reflect.DeepEqual(all, want) {
 		t.Fatalf("%s: TimeAll lanes diverge from repeated Evaluate\n got %+v\nwant %+v", tag, all, want)
-	}
-	viaEval, err := e.EvaluateAll(l, lats)
-	if err != nil {
-		t.Fatalf("%s: EvaluateAll: %v", tag, err)
-	}
-	if !reflect.DeepEqual(viaEval, want) {
-		t.Fatalf("%s: EvaluateAll diverges from repeated Evaluate", tag)
 	}
 }
 

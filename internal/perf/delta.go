@@ -161,13 +161,8 @@ func NewDeltaEval(ev *Evaluator, l *ti.Layout, backend TimingBackend, lat Latenc
 		d.latSum += w
 	}
 	weights := make([]float64, len(ev.targets))
-	d.fillWeights(weights, d.latency)
-	d.delta, err = dag.NewDelta(dag.CSR{
-		Heads:   ev.heads,
-		Targets: ev.targets,
-		Weights: weights,
-		Forward: true,
-	})
+	ev.fillWeights(weights, d.latency)
+	d.delta, err = dag.NewDelta(dag.CSR{Heads: ev.heads, Targets: ev.targets, Weights: weights})
 	if err != nil {
 		return nil, err
 	}
@@ -200,21 +195,6 @@ func (d *DeltaEval) fillLatencies(dst []float64) error {
 		dst[i] = w
 	}
 	return nil
-}
-
-// fillWeights applies the Evaluator.LongestPath edge-weight formula: an
-// edge u→v weighs latency[v], plus latency[u] when u is a start node.
-func (d *DeltaEval) fillWeights(dst, latency []float64) {
-	ev := d.ev
-	for u := 0; u < ev.n; u++ {
-		for e := ev.heads[u]; e < ev.heads[u+1]; e++ {
-			w := latency[ev.targets[e]]
-			if ev.isStart[u] {
-				w += latency[u]
-			}
-			dst[e] = w
-		}
-	}
 }
 
 // NumQubits returns the number of placed qubits swaps may act on.
@@ -310,10 +290,7 @@ func (d *DeltaEval) Swap(q1, q2 int) ([]int32, error) {
 // updateEdge recomputes edge e's weight from the current latencies and
 // routes a real change through the delta kernel.
 func (d *DeltaEval) updateEdge(e int32) {
-	w := d.latency[d.ev.targets[e]]
-	if u := d.edgeSrc[e]; d.ev.isStart[u] {
-		w += d.latency[u]
-	}
+	w := d.ev.edgeWeight(d.edgeSrc[e], d.ev.targets[e], d.latency)
 	if w != d.delta.Weight(e) {
 		d.delta.SetWeight(e, w)
 		d.changed = append(d.changed, e)
@@ -354,15 +331,9 @@ func (d *DeltaEval) FullCost() (float64, error) {
 		d.fullWeights = make([]float64, len(ev.targets))
 	}
 	d.fullWeights = d.fullWeights[:len(ev.targets)]
-	d.fillWeights(d.fullWeights, d.fullLatency)
-	csr := dag.CSR{Heads: ev.heads, Targets: ev.targets, Weights: d.fullWeights, Forward: true}
-	best, err := csr.LongestPath(&d.fullScratch)
-	if err != nil {
-		// The cached CSR is forward-edged by construction; a cycle is
-		// impossible.
-		panic(fmt.Sprintf("perf: dependency CSR reported cycle: %v", err))
-	}
-	return best, nil
+	ev.fillWeights(d.fullWeights, d.fullLatency)
+	csr := dag.CSR{Heads: ev.heads, Targets: ev.targets, Weights: d.fullWeights}
+	return csr.LongestPath(&d.fullScratch), nil
 }
 
 // SetConeLimit forwards to the delta kernel's full-recompute fallback

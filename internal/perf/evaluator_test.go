@@ -18,38 +18,59 @@ import (
 // is checked under.
 var evaluatorAlphas = []float64{1.0, 1.5, 2.0}
 
-// checkEquivalence pins the Evaluator against every legacy entry point for
-// one placed circuit.
+// foldEvaluate is the Evaluator's production path for one layout: Bind,
+// then a one-lane fold.
+func foldEvaluate(e *perf.Evaluator, l *ti.Layout, lat perf.Latencies) (perf.Result, error) {
+	b, err := e.Bind(l)
+	if err != nil {
+		return perf.Result{}, err
+	}
+	return b.Time(lat)
+}
+
+// checkEquivalence pins the Evaluator's entry points against the
+// reference for one placed circuit.
 func checkEquivalence(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat perf.Latencies) {
 	t.Helper()
 	e := perf.NewEvaluator(c)
-
-	if got, want := e.ParallelTime(l, lat), perf.ParallelTime(c, l, lat); got != want {
-		t.Fatalf("%s: Evaluator.ParallelTime = %v, ParallelTime = %v", tag, got, want)
-	}
-
-	g := perf.BuildGateGraph(c, l, lat)
-	if got, want := e.NumEdges(), g.NumEdges(); got != want {
-		t.Fatalf("%s: Evaluator has %d edges, BuildGateGraph %d", tag, got, want)
-	}
-	lp, err := g.LongestPath()
+	b, err := e.Bind(l)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	if got := e.LongestPath(l, lat); got != lp.Length {
-		t.Fatalf("%s: Evaluator.LongestPath = %v, dag.LongestPath = %v", tag, got, lp.Length)
+	if got, want := b.ParallelTime(lat), perf.ParallelTime(c, l, lat); got != want {
+		t.Fatalf("%s: Binding.ParallelTime = %v, ParallelTime = %v", tag, got, want)
+	}
+
+	edges := c.DependencyEdges()
+	if got, want := e.NumEdges(), len(edges); got != want {
+		t.Fatalf("%s: Evaluator has %d edges, DependencyEdges %d", tag, got, want)
+	}
+	// The gate graph's longest path is the parallel time, except that a
+	// gate with no dependency edge at all counts its own latency.
+	graph := e.LongestPath(l, lat)
+	touched := make([]bool, c.NumGates())
+	for _, ed := range edges {
+		touched[ed[0]], touched[ed[1]] = true, true
+	}
+	for _, g := range c.Gates() {
+		if d := lat.GateLatency(g, l); !touched[g.ID] && d > graph {
+			graph = d
+		}
+	}
+	if want := perf.ParallelTime(c, l, lat); graph != want {
+		t.Fatalf("%s: Evaluator.LongestPath gives %v, ParallelTime %v", tag, graph, want)
 	}
 
 	want, err := perf.Evaluate(c, l, lat)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	got, err := e.Evaluate(l, lat)
+	got, err := foldEvaluate(e, l, lat)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Evaluator.Evaluate =\n%+v\nEvaluate =\n%+v", tag, got, want)
+		t.Fatalf("%s: Bind+Time =\n%+v\nEvaluate =\n%+v", tag, got, want)
 	}
 }
 
@@ -137,7 +158,7 @@ func TestEvaluatorReuseAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Evaluate(l, lat)
+		got, err := foldEvaluate(e, l, lat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +200,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				got, err := e.Evaluate(layouts[i], lat)
+				got, err := foldEvaluate(e, layouts[i], lat)
 				if err != nil {
 					errs[i] = err
 					return
@@ -231,7 +252,7 @@ func TestEvaluatorEmptyAndTinyCircuits(t *testing.T) {
 	checkEquivalence(t, "pair", pair, l, lat)
 }
 
-// TestEvaluatorValidation mirrors Evaluate's error contract.
+// TestEvaluatorValidation mirrors Evaluate's error contract on Bind+Time.
 func TestEvaluatorValidation(t *testing.T) {
 	c := genc(t)(workload.RandomCircuit(8, 20, 0.5, 1))
 	d, err := ti.DeviceFor(4, 4, ti.Ring)
@@ -243,7 +264,7 @@ func TestEvaluatorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := perf.NewEvaluator(c)
-	if _, err := e.Evaluate(l, perf.DefaultLatencies()); err == nil {
+	if _, err := foldEvaluate(e, l, perf.DefaultLatencies()); err == nil {
 		t.Fatal("expected error for circuit wider than layout")
 	}
 	bad := perf.DefaultLatencies()
@@ -256,7 +277,7 @@ func TestEvaluatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Evaluate(l8, bad); err == nil {
+	if _, err := foldEvaluate(e, l8, bad); err == nil {
 		t.Fatal("expected latency validation error")
 	}
 }

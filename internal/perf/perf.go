@@ -18,6 +18,10 @@
 //     the source is a start node (a gate with no predecessors). The
 //     circuit's parallel execution time is the maximum-weight path — chains
 //     whose gate sequences never meet at a weak link proceed concurrently.
+//     Equivalently, every gate finishes at the latest finish of the gates
+//     before it on its qubits plus its own latency. Evaluate's walk is the
+//     plain reference form of that recurrence; the fold (fold.go) is the
+//     production form, with a materialized and a streaming driver.
 //
 // All times are microseconds, matching the paper's Table III units.
 package perf
@@ -27,7 +31,6 @@ import (
 	"strconv"
 
 	"velociti/internal/circuit"
-	"velociti/internal/dag"
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
@@ -183,71 +186,80 @@ func SerialTimeFromCounts(q, p, w int, lat Latencies) float64 {
 	return float64(q)*lat.OneQubit + gamma
 }
 
-// BuildGateGraph constructs the paper's directed-graph representation of a
-// placed circuit (§IV-C, Figure 3). Node i corresponds to gate i of c and
-// carries its SSA label ("q3q4.2"). For every pair of consecutive gates
-// (a, b) sharing a qubit there is an edge a→b weighted with b's latency,
-// plus a's latency when a is a start node.
-func BuildGateGraph(c *circuit.Circuit, l *ti.Layout, lat Latencies) *dag.Graph {
-	g := dag.New()
-	labels := c.Labels()
-	for i := range c.Gates() {
-		g.AddNode(labels[i])
+// asap is the ASAP schedule the reference walk computes.
+type asap struct {
+	start, finish []float64
+	// prev[i] is the gate that gate i waited on, -1 for none; on a tie
+	// the first operand's gate wins.
+	prev []int
+	// makespan is the latest finish; last is the first gate to reach it.
+	makespan float64
+	last     int
+}
+
+// walk is the reference walk of the parallel model (§IV-C/D): every gate
+// starts when the last gate on each of its qubits has finished (at 0 when
+// none has) and finishes latencyOf(g) later. Gates are in program order and
+// dependencies only point backwards, so one left-to-right pass is a
+// topological traversal. It is deliberately the plainest form of the
+// recurrence: the fold (fold.go) and every other driver are tested against
+// it bit for bit.
+func walk(c *circuit.Circuit, latencyOf func(circuit.Gate) float64) asap {
+	n := c.NumGates()
+	w := asap{start: make([]float64, n), finish: make([]float64, n), prev: make([]int, n)}
+	lastOn := make([]int, c.NumQubits())
+	for q := range lastOn {
+		lastOn[q] = -1
 	}
-	edges := c.DependencyEdges()
-	isStart := make([]bool, c.NumGates())
-	for i := range isStart {
-		isStart[i] = true
-	}
-	for _, e := range edges {
-		isStart[e[1]] = false
-	}
-	for _, e := range edges {
-		w := lat.GateLatency(c.Gate(e[1]), l)
-		if isStart[e[0]] {
-			w += lat.GateLatency(c.Gate(e[0]), l)
+	for _, g := range c.Gates() {
+		ready, from := 0.0, -1
+		for _, q := range g.Qubits {
+			if p := lastOn[q]; p >= 0 && w.finish[p] > ready {
+				ready, from = w.finish[p], p
+			}
 		}
-		g.AddEdge(e[0], e[1], w)
+		w.start[g.ID], w.finish[g.ID], w.prev[g.ID] = ready, ready+latencyOf(g), from
+		for _, q := range g.Qubits {
+			lastOn[q] = g.ID
+		}
+		if w.finish[g.ID] > w.makespan {
+			w.makespan = w.finish[g.ID]
+		}
+		if w.finish[g.ID] > w.finish[w.last] {
+			w.last = g.ID
+		}
 	}
-	return g
+	return w
+}
+
+// path returns the labels of the gates on the critical path ending at the
+// walk's last gate, in execution order; nil for an empty circuit.
+func (w asap) path(labels []string) []string {
+	if len(w.finish) == 0 {
+		return nil
+	}
+	depth := 0
+	for at := w.last; at != -1; at = w.prev[at] {
+		depth++
+	}
+	out := make([]string, depth)
+	for at := w.last; at != -1; at = w.prev[at] {
+		depth--
+		out[depth] = labels[at]
+	}
+	return out
+}
+
+// under returns lat's per-gate latency rule under layout l.
+func (lat Latencies) under(l *ti.Layout) func(circuit.Gate) float64 {
+	return func(g circuit.Gate) float64 { return lat.GateLatency(g, l) }
 }
 
 // ParallelTime evaluates the parallel model: the finish time of the last
 // gate when every gate starts as soon as all gates it depends on have
-// finished. It is computed by dynamic programming over the dependency DAG
-// (finish(g) = latency(g) + max over predecessors' finish), which equals
-// the longest weighted path in BuildGateGraph's representation — a property
-// the test suite checks — while also covering gates with no edges at all.
-// An empty circuit takes zero time.
+// finished. An empty circuit takes zero time.
 func ParallelTime(c *circuit.Circuit, l *ti.Layout, lat Latencies) float64 {
-	n := c.NumGates()
-	if n == 0 {
-		return 0
-	}
-	finish := make([]float64, n)
-	// Gates are in program order, and dependencies only point backwards,
-	// so a single left-to-right pass is a valid topological traversal.
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	total := 0.0
-	for _, g := range c.Gates() {
-		ready := 0.0
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		finish[g.ID] = ready + lat.GateLatency(g, l)
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		if finish[g.ID] > total {
-			total = finish[g.ID]
-		}
-	}
-	return total
+	return walk(c, lat.under(l)).makespan
 }
 
 // ParallelTimeFunc evaluates the parallel model under an arbitrary
@@ -255,32 +267,7 @@ func ParallelTime(c *circuit.Circuit, l *ti.Layout, lat Latencies) float64 {
 // alternative communication substrates (e.g. internal/shuttle's ion
 // transport) plug their cost models into.
 func ParallelTimeFunc(c *circuit.Circuit, latencyOf func(circuit.Gate) float64) float64 {
-	n := c.NumGates()
-	if n == 0 {
-		return 0
-	}
-	finish := make([]float64, n)
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	total := 0.0
-	for _, g := range c.Gates() {
-		ready := 0.0
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		finish[g.ID] = ready + latencyOf(g)
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		if finish[g.ID] > total {
-			total = finish[g.ID]
-		}
-	}
-	return total
+	return walk(c, latencyOf).makespan
 }
 
 // SerialTimeFunc sums an arbitrary per-gate latency function — the
@@ -323,7 +310,8 @@ func (r Result) Speedup() float64 {
 }
 
 // Evaluate runs both performance models on a placed circuit and extracts
-// the critical path.
+// the critical path. It is the reference every pricing driver is tested
+// against.
 func Evaluate(c *circuit.Circuit, l *ti.Layout, lat Latencies) (Result, error) {
 	if err := lat.Validate(); err != nil {
 		return Result{}, err
@@ -331,87 +319,20 @@ func Evaluate(c *circuit.Circuit, l *ti.Layout, lat Latencies) (Result, error) {
 	if c.NumQubits() > l.NumQubits() {
 		return Result{}, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
 	}
-	res := Result{
+	w := walk(c, lat.under(l))
+	return Result{
 		SerialMicros:        SerialTime(c, l, lat),
 		SerialPerGateMicros: SerialTimePerGate(c, l, lat),
-		ParallelMicros:      ParallelTime(c, l, lat),
+		ParallelMicros:      w.makespan,
 		WeakGates:           WeakGates(c, l),
 		LinksUsed:           LinksUsed(c, l),
-	}
-	res.CriticalPath = CriticalPath(c, l, lat)
-	return res, nil
+		CriticalPath:        w.path(c.Labels()),
+	}, nil
 }
 
 // CriticalPath returns the SSA labels of the gates along one
 // maximum-latency dependency chain, in execution order. Returns nil for an
 // empty circuit.
 func CriticalPath(c *circuit.Circuit, l *ti.Layout, lat Latencies) []string {
-	n := c.NumGates()
-	if n == 0 {
-		return nil
-	}
-	finish := make([]float64, n)
-	prev := make([]int, n)
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	best := 0
-	for _, g := range c.Gates() {
-		ready := 0.0
-		prev[g.ID] = -1
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
-				prev[g.ID] = p
-			}
-		}
-		finish[g.ID] = ready + lat.GateLatency(g, l)
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		if finish[g.ID] > finish[best] {
-			best = g.ID
-		}
-	}
-	labels := c.Labels()
-	var rev []string
-	for at := best; at != -1; at = prev[at] {
-		rev = append(rev, labels[at])
-	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// ChainUtilization reports, per chain, the fraction of the parallel
-// execution window spent executing gates with at least one operand on that
-// chain. A weak-link gate occupies both chains it touches. Utilization of
-// an unused chain is 0; values can reach 1.0 for a fully busy chain.
-func ChainUtilization(c *circuit.Circuit, l *ti.Layout, lat Latencies) []float64 {
-	total := ParallelTime(c, l, lat)
-	busy := make([]float64, l.Device().NumChains())
-	if total == 0 {
-		return busy
-	}
-	for _, g := range c.Gates() {
-		d := lat.GateLatency(g, l)
-		seen := make(map[int]bool, 2)
-		for _, q := range g.Qubits {
-			ch := l.ChainOf(q)
-			if !seen[ch] {
-				seen[ch] = true
-				busy[ch] += d
-			}
-		}
-	}
-	for i := range busy {
-		busy[i] /= total
-		if busy[i] > 1 {
-			busy[i] = 1
-		}
-	}
-	return busy
+	return walk(c, lat.under(l)).path(c.Labels())
 }

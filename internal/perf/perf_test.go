@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"velociti/internal/circuit"
+	"velociti/internal/dag"
 	"velociti/internal/ti"
 )
 
@@ -110,38 +111,51 @@ func TestParallelTimeFig3MatchesPaper(t *testing.T) {
 	}
 }
 
+// edgeWeight returns the weight of edge u→v in g and whether it exists.
+func edgeWeight(g dag.CSR, u, v int) (float64, bool) {
+	for i := g.Heads[u]; i < g.Heads[u+1]; i++ {
+		if int(g.Targets[i]) == v {
+			return g.Weights[i], true
+		}
+	}
+	return 0, false
+}
+
+// TestBuildGateGraphFig3Structure pins the gate graph of §IV-C (the
+// Evaluator's dependency CSR under GateGraph's edge weights) on the
+// paper's Figure 3.
 func TestBuildGateGraphFig3Structure(t *testing.T) {
 	c, l := fig3(t)
 	lat := DefaultLatencies()
-	g := BuildGateGraph(c, l, lat)
+	ev := NewEvaluator(c)
+	g := ev.GateGraph(l, lat)
 	if g.NumNodes() != 6 {
 		t.Fatalf("nodes = %d, want 6", g.NumNodes())
 	}
 	// Three start nodes, exactly the gates acting on fresh qubits.
-	starts := g.StartNodes()
-	if !reflect.DeepEqual(starts, []int{0, 1, 2}) {
-		t.Fatalf("start nodes = %v, want [0 1 2]", starts)
+	entered := make([]bool, g.NumNodes())
+	for _, v := range g.Targets {
+		entered[v] = true
+	}
+	if !reflect.DeepEqual(entered, []bool{false, false, false, true, true, true}) {
+		t.Fatalf("nodes with in-edges = %v, want the last three", entered)
 	}
 	// Edge q3q4 -> q4q5 weighs (1+α)γ = 300: destination is a weak-link
 	// gate (αγ) and the source is a start node (+γ).
-	if w, ok := g.Weight(1, 3); !ok || w != 300 {
+	if w, ok := edgeWeight(g, 1, 3); !ok || w != 300 {
 		t.Fatalf("weight(q3q4→q4q5) = %v,%v, want 300", w, ok)
 	}
 	// Edge q4q5 -> q5q6 weighs γ = 100: source is not a start node.
-	if w, ok := g.Weight(3, 4); !ok || w != 100 {
+	if w, ok := edgeWeight(g, 3, 4); !ok || w != 100 {
 		t.Fatalf("weight(q4q5→q5q6) = %v,%v, want 100", w, ok)
 	}
 	// Longest path through the graph equals the paper's (1+α)γ + γ = 400.
-	res, err := g.LongestPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Length != 400 {
-		t.Fatalf("longest path = %v, want 400", res.Length)
+	if got := g.LongestPath(nil); got != 400 {
+		t.Fatalf("longest path = %v, want 400", got)
 	}
 	// SSA labels on nodes (paper's Figure 3 labels, 0-indexed qubits).
-	if g.Label(3) != "q3q4" {
-		t.Fatalf("node 3 label = %q", g.Label(3))
+	if ev.Labels()[3] != "q3q4" {
+		t.Fatalf("node 3 label = %q", ev.Labels()[3])
 	}
 }
 
@@ -174,15 +188,17 @@ func TestParallelMatchesGraphLongestPath(t *testing.T) {
 				c.CX(p[0], p[1])
 			}
 		}
-		g := BuildGateGraph(c, l, lat)
-		lp, err := g.LongestPath()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := lp.Length
+		g := NewEvaluator(c).GateGraph(l, lat)
+		want := g.LongestPath(nil)
 		// Gates with no dependency edges contribute their own latency.
+		touched := make([]bool, c.NumGates())
+		for u := 0; u < g.NumNodes(); u++ {
+			for i := g.Heads[u]; i < g.Heads[u+1]; i++ {
+				touched[u], touched[g.Targets[i]] = true, true
+			}
+		}
 		for _, gate := range c.Gates() {
-			if g.InDegree(gate.ID) == 0 && g.OutDegree(gate.ID) == 0 {
+			if !touched[gate.ID] {
 				if lt := lat.GateLatency(gate, l); lt > want {
 					want = lt
 				}
@@ -384,10 +400,17 @@ func TestCriticalPathOrderingAndMembership(t *testing.T) {
 	}
 }
 
+// TestChainUtilization pins per-chain utilization — busy time over the
+// parallel execution window, a weak-link gate counting on both chains —
+// on the paper's Figure 3, through Timeline.Utilization.
 func TestChainUtilization(t *testing.T) {
 	c, l := fig3(t)
 	lat := DefaultLatencies()
-	util := ChainUtilization(c, l, lat)
+	tl, err := BuildTimeline(c, l, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	util := tl.Utilization()
 	if len(util) != 2 {
 		t.Fatalf("util length = %d", len(util))
 	}
@@ -401,8 +424,11 @@ func TestChainUtilization(t *testing.T) {
 		t.Errorf("chain1 utilization = %v, want 1.0", util[1])
 	}
 	// Empty circuit → all zero.
-	empty := circuit.New("e", 7)
-	for _, u := range ChainUtilization(empty, l, lat) {
+	empty, err := BuildTimeline(circuit.New("e", 7), l, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range empty.Utilization() {
 		if u != 0 {
 			t.Errorf("empty circuit utilization should be 0, got %v", u)
 		}
@@ -430,8 +456,9 @@ func TestSpeedupZeroParallel(t *testing.T) {
 
 func TestGraphDOTHasStartNodes(t *testing.T) {
 	c, l := fig3(t)
-	g := BuildGateGraph(c, l, DefaultLatencies())
-	dot := g.DOT("fig3")
+	ev := NewEvaluator(c)
+	g := ev.GateGraph(l, DefaultLatencies())
+	dot := g.DOT("fig3", ev.Labels())
 	if n := strings.Count(dot, "doublecircle"); n != 3 {
 		t.Fatalf("DOT should mark 3 start nodes, got %d", n)
 	}

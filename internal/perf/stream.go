@@ -1,11 +1,11 @@
 package perf
 
 // This file prices gate STREAMS: the memory-bounded counterpart of
-// binding.go's TimeAll and transport.go's TimeTransportAll. Both
-// materialized kernels only ever read a gate's predecessors through the
-// per-qubit last-writer table, so the full finish[] history is replaced
-// here by a per-qubit frontier — one finish time per (qubit, lane) — and
-// peak memory becomes O(qubits·lanes + window), independent of gate count.
+// binding.go's TimeAll and transport.go's TimeTransportAll. The fold
+// (fold.go) reads a gate's predecessors only through the per-qubit
+// frontier — one finish time per (qubit, lane) — so the stream driver
+// keeps nothing of a gate once its window is folded, and peak memory is
+// O(qubits·lanes + window), independent of gate count.
 //
 // Bit-exactness contract: StreamTimeAll equals Binding.TimeAll and
 // StreamTransportAll equals Binding.TimeTransportAll field for field —
@@ -26,16 +26,13 @@ import (
 	"fmt"
 
 	"velociti/internal/circuit"
-	"velociti/internal/dag"
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
 
-// streamChunkGates is the evaluation window of the weak-link streaming
-// kernel: gates per dag.Chunk before a relaxation pass flushes them into
-// the per-qubit frontier. A variable (not a const) so the chunk-boundary
-// adversarial tests can shrink it to force gates onto window edges.
-var streamChunkGates = 4096
+// streamWindow is the stream driver's window: gates classified into plain
+// operand arrays before each fold.
+const streamWindow = 4096
 
 // StreamStats summarizes a consumed gate stream: the gate counts the
 // serial model needs and the rolling content fingerprint, bit-identical to
@@ -51,8 +48,8 @@ type StreamStats struct {
 	TwoQubitGates int
 }
 
-// streamState is the shared per-stream bookkeeping of both streaming
-// kernels: classification against the layout, gate counts, and the rolling
+// streamState is the stream driver's per-stream bookkeeping:
+// classification against the layout, gate counts, and the rolling
 // fingerprint.
 type streamState struct {
 	chainOf  []int
@@ -106,7 +103,7 @@ func (s *streamState) close() StreamStats {
 	}
 }
 
-// stream-entry validation shared by both kernels; the messages match the
+// stream-entry validation shared by both entry points; the messages match the
 // materialized path's (Bind's qubit check, TimeAll's lats checks).
 func streamChecks(src circuit.Source, l *ti.Layout, lats []Latencies) error {
 	if src.Emit == nil {
@@ -118,34 +115,7 @@ func streamChecks(src circuit.Source, l *ti.Layout, lats []Latencies) error {
 	if len(lats) == 0 {
 		return fmt.Errorf("perf: TimeAll requires at least one timing model")
 	}
-	for _, lat := range lats {
-		if err := lat.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// finalizeResults fills the count-derived fields every lane shares once
-// the stream is exhausted. w is Table I's links-used clamp, exactly
-// TimeAll's min(links, twoQGates).
-func (s *streamState) finalizeResults(results []Result, lats []Latencies, serial, total []float64, local bool) {
-	w := s.links
-	if w > s.twoQ {
-		w = s.twoQ
-	}
-	for j, lat := range lats {
-		if local {
-			lat.WeakPenalty = 1
-		}
-		results[j] = Result{
-			SerialMicros:        SerialTimeFromCounts(s.oneQ, s.twoQ, w, lat),
-			SerialPerGateMicros: serial[j],
-			ParallelMicros:      total[j],
-			WeakGates:           s.weak,
-			LinksUsed:           s.links,
-		}
-	}
+	return validateAll(lats)
 }
 
 // StreamTimeAll prices a gate stream under every timing model in lats
@@ -157,82 +127,14 @@ func StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result
 	if err := streamChecks(src, l, lats); err != nil {
 		return nil, StreamStats{}, err
 	}
-	nl := len(lats)
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		luts[j] = classLatencies(lat)
-	}
-
-	st := newStreamState(src, l)
-	window := streamChunkGates
-	ch := dag.NewChunk(window, src.Qubits)
-	classes := make([]GateClass, 0, window)
-	cost := make([]float64, window)
-	dist := make([]float64, window)
-	qfinish := make([]float64, src.Qubits*nl)
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-
-	// flush relaxes the buffered window once per lane and folds each
-	// lane's finish times back into the per-qubit frontier. Within a lane
-	// the pass visits gates in program order, so the serial accumulation
-	// and the strict-> makespan tracking reproduce TimeAll's exactly.
-	flush := func() {
-		m := ch.Len()
-		if m == 0 {
-			return
-		}
-		for j := 0; j < nl; j++ {
-			for i := 0; i < m; i++ {
-				cost[i] = luts[j][classes[i]]
-			}
-			ch.Run(cost[:m], qfinish, nl, j, dist[:m])
-			for i := 0; i < m; i++ {
-				serial[j] += cost[i]
-				if dist[i] > total[j] {
-					total[j] = dist[i]
-				}
-			}
-			qs, ws := ch.Writers()
-			for k, q := range qs {
-				qfinish[int(q)*nl+j] = dist[ws[k]]
-			}
-		}
-		ch.Reset()
-		classes = classes[:0]
-	}
-
-	err := src.Emit(func(g *circuit.Gate) error {
-		classes = append(classes, st.classify(g))
-		qb := int32(-1)
-		if g.IsTwoQubit() {
-			qb = int32(g.Qubits[1])
-		}
-		ch.Add(int32(g.Qubits[0]), qb)
-		if ch.Full() {
-			flush()
-		}
-		return nil
-	})
-	if err != nil {
-		st.close()
-		return nil, StreamStats{}, err
-	}
-	flush()
-
-	results := make([]Result, nl)
-	stats := st.close()
-	st.finalizeResults(results, lats, serial, total, false)
-	return results, stats, nil
+	return streamPrice(src, l, lats, nil, streamWindow)
 }
 
 // StreamTransportAll prices a gate stream under every timing model in lats
-// with the shuttle transport model, in O(qubits·lanes + segments·lanes)
-// memory. The busy-until segment reservation is order-dependent, so the
-// kernel runs gate-at-a-time over the per-qubit frontier rather than in
-// relaxation windows; the recurrence is TimeTransportAll's, verbatim.
-// Entry j equals Binding.TimeTransportAll(costs, lats)[j] on the
-// materialized circuit, bit for bit, except that CriticalPath is omitted.
+// with the shuttle transport model, in O(qubits·lanes + segments·lanes +
+// window) memory. Entry j equals Binding.TimeTransportAll(costs, lats)[j]
+// on the materialized circuit, bit for bit, except that CriticalPath is
+// omitted.
 func StreamTransportAll(src circuit.Source, l *ti.Layout, costs TransportCosts, lats []Latencies) ([]Result, StreamStats, error) {
 	if err := streamChecks(src, l, lats); err != nil {
 		return nil, StreamStats{}, err
@@ -240,107 +142,62 @@ func StreamTransportAll(src circuit.Source, l *ti.Layout, costs TransportCosts, 
 	if err := costs.Validate(); err != nil {
 		return nil, StreamStats{}, err
 	}
-	nl := len(lats)
-	// Transport replaces the weak penalty: weak gates run at the LOCAL γ,
-	// exactly TimeTransportAll's neutralized latency tables.
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		local := lat
-		local.WeakPenalty = 1
-		luts[j] = classLatencies(local)
-	}
+	return streamPrice(src, l, lats, &costs, streamWindow)
+}
 
+// streamPrice is the stream driver: it classifies the source's gates into
+// a window of at most window operand arrays (plus, under transport, each
+// weak gate's segments) and folds every full window into the per-qubit
+// frontier, so no gate outlives its window.
+func streamPrice(src circuit.Source, l *ti.Layout, lats []Latencies, costs *TransportCosts, window int) ([]Result, StreamStats, error) {
 	st := newStreamState(src, l)
-	d := l.Device()
-	numSegs := d.MaxWeakLinks()
-	fixed := costs.SplitMicros + costs.MergeMicros + costs.RecoolMicros
-	// Paths are cached per canonical (min, max) chain pair, matching
-	// AttachTransport's direction-independent lookup.
-	paths := make([][]int32, st.nc*st.nc)
-	busy := make([]float64, numSegs*nl)
-	qfinish := make([]float64, src.Qubits*nl)
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-	transportTotal := 0.0
-
-	err := src.Emit(func(g *circuit.Gate) error {
-		class := st.classify(g)
-		qa := g.Qubits[0]
-		qb := -1
-		var segs []int32
-		over := 0.0
-		if class == ClassTwoQWeak {
-			lo, hi := st.chainOf[qa], st.chainOf[g.Qubits[1]]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			p := paths[lo*st.nc+hi]
-			if p == nil {
-				links := d.PathLinks(lo, hi)
-				if len(links) == 0 {
-					return verr.Inputf("perf: qubits q%d and q%d sit on disconnected chains %d and %d; no shuttle path exists",
-						qa, g.Qubits[1], st.chainOf[qa], st.chainOf[g.Qubits[1]])
-				}
-				p = make([]int32, len(links))
-				for k, wl := range links {
-					p[k] = int32(wl.ID)
-				}
-				paths[lo*st.nc+hi] = p
-			}
-			segs = p
-			over = fixed + float64(len(segs))*costs.MovePerHopMicros
-			transportTotal += over
+	f := newFold(lats, src.Qubits, costs, l.Device().MaxWeakLinks(), 0)
+	defer f.release()
+	g := gateBatch{
+		qa:    make([]int32, 0, window),
+		qb:    make([]int32, 0, window),
+		class: make([]GateClass, 0, window),
+	}
+	var paths *pathCache
+	if costs != nil {
+		paths = newPathCache(l)
+		g.segStart = make([]int32, 1, window+1)
+	}
+	flush := func() {
+		f.run(g)
+		g.qa, g.qb, g.class = g.qa[:0], g.qb[:0], g.class[:0]
+		if paths != nil {
+			g.segStart, g.segIDs = g.segStart[:1], g.segIDs[:0]
 		}
-		if g.IsTwoQubit() {
-			qb = g.Qubits[1]
+	}
+	err := src.Emit(func(gt *circuit.Gate) error {
+		class := st.classify(gt)
+		qb := int32(-1)
+		if gt.IsTwoQubit() {
+			qb = int32(gt.Qubits[1])
 		}
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			if v := qfinish[qa*nl+j]; v > ready {
-				ready = v
-			}
-			if qb >= 0 {
-				if v := qfinish[qb*nl+j]; v > ready {
-					ready = v
+		g.qa = append(g.qa, int32(gt.Qubits[0]))
+		g.qb = append(g.qb, qb)
+		g.class = append(g.class, class)
+		if paths != nil {
+			if class == ClassTwoQWeak {
+				segs, err := paths.segments(gt.Qubits[0], gt.Qubits[1])
+				if err != nil {
+					return err
 				}
+				g.segIDs = append(g.segIDs, segs...)
 			}
-			dlt := luts[j][class]
-			start := ready
-			if over > 0 {
-				for _, sg := range segs {
-					if v := busy[int(sg)*nl+j]; v > start {
-						start = v
-					}
-				}
-			}
-			tEnd := start + over
-			if over > 0 {
-				for _, sg := range segs {
-					busy[int(sg)*nl+j] = tEnd
-				}
-			}
-			f := tEnd + dlt
-			serial[j] += over + dlt
-			if f > total[j] {
-				total[j] = f
-			}
-			qfinish[qa*nl+j] = f
-			if qb >= 0 {
-				qfinish[qb*nl+j] = f
-			}
+			g.segStart = append(g.segStart, int32(len(g.segIDs)))
+		}
+		if len(g.class) == window {
+			flush()
 		}
 		return nil
 	})
+	stats := st.close()
 	if err != nil {
-		st.close()
 		return nil, StreamStats{}, err
 	}
-
-	results := make([]Result, nl)
-	stats := st.close()
-	st.finalizeResults(results, lats, serial, total, true)
-	for j := range results {
-		results[j].SerialMicros += transportTotal
-	}
-	return results, stats, nil
+	flush()
+	return f.results(lats, st.oneQ, st.twoQ, st.weak, st.links, nil), stats, nil
 }

@@ -1,7 +1,7 @@
 package perf
 
-// Internal tests: the chunk-boundary adversarial cases override
-// streamChunkGates, and the shuttle streaming kernel is driven through
+// Internal tests: the window-boundary adversarial cases drive the stream
+// driver at tiny windows, and the shuttle streaming path is driven through
 // TransportCosts directly (importing internal/shuttle here would cycle).
 // The cross-package equivalence suite — every workload generator, both
 // named backends, the core wiring — lives in the core and e2e test
@@ -94,9 +94,23 @@ func stripPaths(rs []Result) []Result {
 	return out
 }
 
-// checkStream pins both streaming kernels against their materialized
-// twins for one program and layout.
-func checkStream(t *testing.T, tag string, p circuit.Program, l *ti.Layout, lats []Latencies) {
+// streamAt prices src through the stream driver with the given window;
+// window 0 goes through the public entry points (and their window).
+func streamAt(src circuit.Source, l *ti.Layout, costs *TransportCosts, lats []Latencies, window int) ([]Result, StreamStats, error) {
+	switch {
+	case window > 0:
+		return streamPrice(src, l, lats, costs, window)
+	case costs != nil:
+		return StreamTransportAll(src, l, *costs, lats)
+	default:
+		return StreamTimeAll(src, l, lats)
+	}
+}
+
+// checkStream pins both streaming paths against their materialized twins
+// for one program and layout, folding window gates at a time (0: the
+// production window).
+func checkStream(t *testing.T, tag string, p circuit.Program, l *ti.Layout, lats []Latencies, window int) {
 	t.Helper()
 	c, err := p.Circuit()
 	if err != nil {
@@ -112,7 +126,7 @@ func checkStream(t *testing.T, tag string, p circuit.Program, l *ti.Layout, lats
 	if err != nil {
 		t.Fatalf("%s: TimeAll: %v", tag, err)
 	}
-	got, st, err := StreamTimeAll(p.Source(), l, lats)
+	got, st, err := streamAt(p.Source(), l, nil, lats, window)
 	if err != nil {
 		t.Fatalf("%s: StreamTimeAll: %v", tag, err)
 	}
@@ -129,7 +143,7 @@ func checkStream(t *testing.T, tag string, p circuit.Program, l *ti.Layout, lats
 	if err != nil {
 		t.Fatalf("%s: TimeTransportAll: %v", tag, err)
 	}
-	gotT, stT, err := StreamTransportAll(p.Source(), l, costs, lats)
+	gotT, stT, err := streamAt(p.Source(), l, &costs, lats, window)
 	if err != nil {
 		t.Fatalf("%s: StreamTransportAll: %v", tag, err)
 	}
@@ -139,7 +153,7 @@ func checkStream(t *testing.T, tag string, p circuit.Program, l *ti.Layout, lats
 	checkStreamStats(t, tag, stT, c)
 
 	// The materialized adapter must stream identically to the generator.
-	gotC, stC, err := StreamTimeAll(c.Source(), l, lats)
+	gotC, stC, err := streamAt(c.Source(), l, nil, lats, window)
 	if err != nil {
 		t.Fatalf("%s: StreamTimeAll(circuit): %v", tag, err)
 	}
@@ -176,17 +190,16 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s: DeviceFor: %v", p.Name, err)
 		}
 		l := placeShuffled(t, d, p.Qubits, r)
-		checkStream(t, p.Name+"/lanes=1", p, l, streamLats(2.0))
-		checkStream(t, p.Name+"/lanes=4", p, l, streamLats(2.0, 1.5, 1.2, 1.0))
+		checkStream(t, p.Name+"/lanes=1", p, l, streamLats(2.0), 0)
+		checkStream(t, p.Name+"/lanes=4", p, l, streamLats(2.0, 1.5, 1.2, 1.0), 0)
 	}
 }
 
 // TestStreamChunkBoundaries is the adversarial window test: with the
-// chunk shrunk to a handful of gates, dependencies straddle every window
+// window shrunk to a handful of gates, dependencies straddle every window
 // edge and the frontier hand-off is exercised constantly; results must
 // not move. Window size 1 degenerates to gate-at-a-time evaluation.
 func TestStreamChunkBoundaries(t *testing.T) {
-	defer func(old int) { streamChunkGates = old }(streamChunkGates)
 	rnd, err := workload.RandomCircuitProgram(11, 257, 0.35, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +219,8 @@ func TestStreamChunkBoundaries(t *testing.T) {
 			t.Fatalf("%s: DeviceFor: %v", p.Name, err)
 		}
 		l := placeShuffled(t, d, p.Qubits, r)
-		for _, window := range []int{1, 2, 3, 7, 64, 4096} {
-			streamChunkGates = window
-			checkStream(t, p.Name, p, l, streamLats(1.9, 1.0))
+		for _, window := range []int{1, 2, 3, 7, 64, streamWindow} {
+			checkStream(t, p.Name, p, l, streamLats(1.9, 1.0), window)
 		}
 	}
 }

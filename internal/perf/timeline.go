@@ -46,46 +46,27 @@ func BuildTimeline(c *circuit.Circuit, l *ti.Layout, lat Latencies) (*Timeline, 
 	if c.NumQubits() > l.NumQubits() {
 		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
 	}
+	w := walk(c, lat.under(l))
 	labels := c.Labels()
-	tl := &Timeline{NumChains: l.Device().NumChains()}
-	last := make([]int, c.NumQubits())
-	for i := range last {
-		last[i] = -1
-	}
-	finish := make([]float64, c.NumGates())
+	tl := &Timeline{NumChains: l.Device().NumChains(), Makespan: w.makespan}
 	for _, g := range c.Gates() {
-		ready := 0.0
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && finish[p] > ready {
-				ready = finish[p]
+		chains := []int{l.ChainOf(g.Qubits[0])}
+		if g.IsTwoQubit() {
+			switch cb := l.ChainOf(g.Qubits[1]); {
+			case cb < chains[0]:
+				chains = []int{cb, chains[0]}
+			case cb > chains[0]:
+				chains = append(chains, cb)
 			}
 		}
-		d := lat.GateLatency(g, l)
-		finish[g.ID] = ready + d
-		for _, q := range g.Qubits {
-			last[q] = g.ID
-		}
-		chains := make([]int, 0, 2)
-		seen := map[int]bool{}
-		for _, q := range g.Qubits {
-			ch := l.ChainOf(q)
-			if !seen[ch] {
-				seen[ch] = true
-				chains = append(chains, ch)
-			}
-		}
-		sort.Ints(chains)
 		tl.Intervals = append(tl.Intervals, Interval{
 			GateID: g.ID,
 			Label:  labels[g.ID],
-			Start:  ready,
-			Finish: finish[g.ID],
+			Start:  w.start[g.ID],
+			Finish: w.finish[g.ID],
 			Chains: chains,
 			Weak:   len(chains) > 1,
 		})
-		if finish[g.ID] > tl.Makespan {
-			tl.Makespan = finish[g.ID]
-		}
 	}
 	return tl, nil
 }

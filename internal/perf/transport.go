@@ -8,18 +8,16 @@ package perf
 // γ. The per-gate paths are layout-dependent but latency-independent, so
 // they are attached to the Binding once (AttachTransport, the backend's
 // Prepare hook); TimeTransport/TimeTransportAll then price any number of
-// timing models against the attached plan with the same multi-lane,
-// pooled-scratch shape as Binding.TimeAll.
+// timing models against the attached plan in one fold (fold.go).
 //
 // Contention: two concurrent transports cannot occupy one inter-chain
-// segment, so the kernel serializes them — each segment tracks a
-// per-lane busy-until time, a transport starts no earlier than the
-// latest busy-until of the segments it crosses, and it reserves them
-// until its merge+recool completes. Reservation is skipped entirely when
-// a gate's transport overhead is zero, which is what makes the zero-cost
-// shuttle backend bit-identical to the weak-link model at α = 1 (the
-// equivalence the property tests pin): the recurrence degenerates to
-// f = ready + d with the α = 1 latency table.
+// segment, so the fold serializes them — each segment tracks a per-lane
+// busy-until time, a transport starts no earlier than the latest
+// busy-until of the segments it crosses, and it reserves them until its
+// merge+recool completes. Reservation is skipped entirely when a gate's
+// transport overhead is zero, which is what makes the zero-cost shuttle
+// backend bit-identical to the weak-link model at α = 1 (the equivalence
+// the property tests pin).
 
 import (
 	"fmt"
@@ -84,37 +82,18 @@ func (b *Binding) AttachTransport(l *ti.Layout) error {
 		return nil
 	}
 	e := b.ev
-	d := l.Device()
-	tp := &transportPlan{segStart: make([]int32, e.n+1), numSegs: d.MaxWeakLinks()}
+	tp := &transportPlan{segStart: make([]int32, e.n+1), numSegs: l.Device().MaxWeakLinks()}
 	if b.weak == 0 {
 		b.transport = tp
 		return nil
 	}
-	nc := d.NumChains()
-	chainOf := l.ChainAssignments()
-	// Paths are cached per canonical (min, max) chain pair: PathLinks'
-	// tie-breaking is direction-dependent, so canonicalizing keeps the
-	// priced path independent of operand order within a gate.
-	paths := make([][]int32, nc*nc)
+	paths := newPathCache(l)
 	segIDs := make([]int32, 0, b.weak)
 	for i := 0; i < e.n; i++ {
 		if b.classes[i] == ClassTwoQWeak {
-			lo, hi := chainOf[e.qa[i]], chainOf[e.qb[i]]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			p := paths[lo*nc+hi]
-			if p == nil {
-				links := d.PathLinks(lo, hi)
-				if len(links) == 0 {
-					return verr.Inputf("perf: qubits q%d and q%d sit on disconnected chains %d and %d; no shuttle path exists",
-						e.qa[i], e.qb[i], chainOf[e.qa[i]], chainOf[e.qb[i]])
-				}
-				p = make([]int32, len(links))
-				for k, wl := range links {
-					p[k] = int32(wl.ID)
-				}
-				paths[lo*nc+hi] = p
+			p, err := paths.segments(int(e.qa[i]), int(e.qb[i]))
+			if err != nil {
+				return err
 			}
 			segIDs = append(segIDs, p...)
 		}
@@ -125,16 +104,43 @@ func (b *Binding) AttachTransport(l *ti.Layout) error {
 	return nil
 }
 
-// growBusy sizes and zeroes the per-(segment, lane) busy-until table.
-func (s *sweepScratch) growBusy(n int) []float64 {
-	if cap(s.busy) < n {
-		s.busy = make([]float64, n)
+// pathCache memoizes the weak-link segments between chain pairs of one
+// layout's device.
+type pathCache struct {
+	d       *ti.Device
+	nc      int
+	chainOf []int
+	paths   [][]int32
+}
+
+func newPathCache(l *ti.Layout) *pathCache {
+	nc := l.Device().NumChains()
+	return &pathCache{d: l.Device(), nc: nc, chainOf: l.ChainAssignments(), paths: make([][]int32, nc*nc)}
+}
+
+// segments returns the weak-link IDs a transport between qubits qa and qb
+// crosses. Paths are cached per canonical (min, max) chain pair:
+// PathLinks' tie-breaking is direction-dependent, so canonicalizing keeps
+// the priced path independent of operand order within a gate.
+func (pc *pathCache) segments(qa, qb int) ([]int32, error) {
+	lo, hi := pc.chainOf[qa], pc.chainOf[qb]
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	s.busy = s.busy[:n]
-	for i := range s.busy {
-		s.busy[i] = 0
+	if p := pc.paths[lo*pc.nc+hi]; p != nil {
+		return p, nil
 	}
-	return s.busy
+	links := pc.d.PathLinks(lo, hi)
+	if len(links) == 0 {
+		return nil, verr.Inputf("perf: qubits q%d and q%d sit on disconnected chains %d and %d; no shuttle path exists",
+			qa, qb, pc.chainOf[qa], pc.chainOf[qb])
+	}
+	p := make([]int32, len(links))
+	for k, wl := range links {
+		p[k] = int32(wl.ID)
+	}
+	pc.paths[lo*pc.nc+hi] = p
+	return p, nil
 }
 
 // TimeTransport prices the binding under one timing model with the
@@ -149,146 +155,27 @@ func (b *Binding) TimeTransport(costs TransportCosts, lat Latencies) (Result, er
 }
 
 // TimeTransportAll prices the binding under every timing model in lats
-// with the shuttle transport model, in one multi-lane pass over the gate
-// list. Per gate, a weak gate first pays its transport overhead
-// (split + hops·move + merge + recool, serialized against every other
-// transport crossing a shared segment) and then runs at the LOCAL
-// 2-qubit latency γ — the weak penalty α never appears; transport
-// replaces it. Lane j of the result equals TimeTransport(costs, lats[j])
-// bit for bit at any lane count. SerialMicros is the Eq. 1 serial bound
-// at α = 1 plus the total transport overhead; SerialPerGateMicros
-// likewise accumulates overhead plus gate latency in gate order.
-// AttachTransport must have run first.
+// with the shuttle transport model, in one fold over the gate list. Per
+// gate, a weak gate first pays its transport overhead (split + hops·move
+// + merge + recool, serialized against every other transport crossing a
+// shared segment) and then runs at the LOCAL 2-qubit latency γ — the weak
+// penalty α never appears; transport replaces it. Lane j of the result
+// equals TimeTransport(costs, lats[j]) bit for bit at any lane count.
+// SerialMicros is the Eq. 1 serial bound at α = 1 plus the total transport
+// overhead; SerialPerGateMicros likewise accumulates overhead plus gate
+// latency in gate order. AttachTransport must have run first.
 func (b *Binding) TimeTransportAll(costs TransportCosts, lats []Latencies) ([]Result, error) {
-	tp := b.transport
-	if tp == nil {
+	if b.transport == nil {
 		return nil, fmt.Errorf("perf: binding has no transport plan; the shuttle backend's Prepare (AttachTransport) must run at bind time")
 	}
 	if err := costs.Validate(); err != nil {
 		return nil, err
 	}
-	nl := len(lats)
-	if nl == 0 {
+	if len(lats) == 0 {
 		return nil, fmt.Errorf("perf: TimeTransportAll requires at least one timing model")
 	}
-	for _, lat := range lats {
-		if err := lat.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validateAll(lats); err != nil {
+		return nil, err
 	}
-	e := b.ev
-	w := b.links
-	if w > e.twoQGates {
-		w = e.twoQGates
-	}
-	// local[j] is lats[j] with the weak penalty neutralized: transport
-	// replaces α, so weak gates run at 1·γ and the serial bound charges
-	// the same.
-	results := make([]Result, nl)
-	luts := make([][numClasses]float64, nl)
-	for j, lat := range lats {
-		local := lat
-		local.WeakPenalty = 1
-		luts[j] = classLatencies(local)
-		results[j] = Result{
-			SerialMicros: SerialTimeFromCounts(e.oneQGates, e.twoQGates, w, local),
-			WeakGates:    b.weak,
-			LinksUsed:    b.links,
-		}
-	}
-	if e.n == 0 {
-		return results, nil
-	}
-
-	fixed := costs.SplitMicros + costs.MergeMicros + costs.RecoolMicros
-	s := sweepPool.Get().(*sweepScratch)
-	s.grow(e.n*nl, e.c.NumQubits())
-	busy := s.growBusy(tp.numSegs * nl)
-	finish, prev, last := s.finish, s.prev, s.last
-
-	serial := make([]float64, nl)
-	total := make([]float64, nl)
-	best := make([]int32, nl)
-	transportTotal := 0.0
-
-	for i := 0; i < e.n; i++ {
-		p0 := last[e.qa[i]]
-		p1 := int32(-1)
-		if qb := e.qb[i]; qb >= 0 {
-			p1 = last[qb]
-		}
-		class := b.classes[i]
-		var segs []int32
-		over := 0.0
-		if class == ClassTwoQWeak {
-			segs = tp.segIDs[tp.segStart[i]:tp.segStart[i+1]]
-			over = fixed + float64(len(segs))*costs.MovePerHopMicros
-			transportTotal += over
-		}
-		base := i * nl
-		for j := 0; j < nl; j++ {
-			ready := 0.0
-			pr := int32(-1)
-			if p0 >= 0 && finish[int(p0)*nl+j] > ready {
-				ready = finish[int(p0)*nl+j]
-				pr = p0
-			}
-			if p1 >= 0 && finish[int(p1)*nl+j] > ready {
-				ready = finish[int(p1)*nl+j]
-				pr = p1
-			}
-			d := luts[j][class]
-			start := ready
-			if over > 0 {
-				// Junction contention: the transport cannot enter a segment
-				// before the previous transport through it has cleared, and
-				// it holds every segment on its path until it completes.
-				// Zero-overhead transports reserve nothing — they occupy no
-				// segment for any duration, and skipping the busy table is
-				// what keeps the zero-cost backend identical to weak-link.
-				for _, sg := range segs {
-					if v := busy[int(sg)*nl+j]; v > start {
-						start = v
-					}
-				}
-			}
-			tEnd := start + over
-			if over > 0 {
-				for _, sg := range segs {
-					busy[int(sg)*nl+j] = tEnd
-				}
-			}
-			f := tEnd + d
-			finish[base+j] = f
-			prev[base+j] = pr
-			serial[j] += over + d
-			if f > total[j] {
-				total[j] = f
-				best[j] = int32(i)
-			}
-		}
-		last[e.qa[i]] = int32(i)
-		if qb := e.qb[i]; qb >= 0 {
-			last[qb] = int32(i)
-		}
-	}
-
-	labels := e.Labels()
-	for j := 0; j < nl; j++ {
-		results[j].SerialMicros += transportTotal
-		results[j].SerialPerGateMicros = serial[j]
-		results[j].ParallelMicros = total[j]
-		depth := 0
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth++
-		}
-		path := make([]string, depth)
-		for at := best[j]; at != -1; at = prev[int(at)*nl+j] {
-			depth--
-			path[depth] = labels[at]
-		}
-		results[j].CriticalPath = path
-	}
-	sweepPool.Put(s)
-	return results, nil
+	return b.price(lats, &costs), nil
 }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"velociti/internal/cache"
 	"velociti/internal/core"
 	"velociti/internal/pool"
 )
@@ -105,14 +104,6 @@ type EndpointsSnapshot struct {
 	Explore  EndpointStats `json:"explore"`
 }
 
-// StageCacheSnapshot is the shared pipeline's per-stage cache counters.
-type StageCacheSnapshot struct {
-	Place      cache.Stats `json:"place"`
-	Synthesize cache.Stats `json:"synthesize"`
-	Search     cache.Stats `json:"search"`
-	Bind       cache.Stats `json:"bind"`
-}
-
 // Snapshot is the GET /metrics payload.
 type Snapshot struct {
 	// UptimeSeconds since the server was constructed.
@@ -124,8 +115,8 @@ type Snapshot struct {
 	// Endpoints holds the per-endpoint counters.
 	Endpoints EndpointsSnapshot `json:"endpoints"`
 	// Cache is the cross-request stage-artifact cache (hit/miss/eviction
-	// counters from internal/cache).
-	Cache StageCacheSnapshot `json:"cache"`
+	// counters from internal/cache), one entry per pipeline stage.
+	Cache core.StageStats `json:"cache"`
 	// Pool is the worker pool's process-wide batch/job/panic totals.
 	Pool pool.Counters `json:"pool"`
 }
@@ -140,7 +131,6 @@ type metrics struct {
 
 // snapshot assembles the full /metrics payload.
 func (r *metrics) snapshot(pl *core.Pipeline, adm *admission) Snapshot {
-	st := pl.Stats()
 	return Snapshot{
 		UptimeSeconds: time.Since(r.started).Seconds(),
 		InFlight:      adm.inFlight(),
@@ -150,12 +140,7 @@ func (r *metrics) snapshot(pl *core.Pipeline, adm *admission) Snapshot {
 			Sweep:    r.sweep.snapshot(),
 			Explore:  r.explore.snapshot(),
 		},
-		Cache: StageCacheSnapshot{
-			Place:      st.Place,
-			Synthesize: st.Synthesize,
-			Search:     st.Search,
-			Bind:       st.Bind,
-		},
-		Pool: pool.Stats(),
+		Cache: pl.Stats(),
+		Pool:  pool.Stats(),
 	}
 }

@@ -109,3 +109,34 @@ func TestEvaluateStreamRejectsUnstreamable(t *testing.T) {
 		t.Fatalf("error message %q does not explain the streaming rejection", detail.Message)
 	}
 }
+
+// TestMetricsReportStreamCache pins the streaming stage's cache counters
+// on /metrics: a "stream": true sweep must move cache.stream, the stage
+// the snapshot once dropped.
+func TestMetricsReportStreamCache(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := `{"qubits": 16, "two_qubit_gates": 40, "chain_lengths": [8], "runs": 2, "seed": 9, "stream": true}`
+	for i := 0; i < 2; i++ {
+		if resp, got := doJSON(t, ts, http.MethodPost, "/v1/sweep", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %d: status %d: %s", i, resp.StatusCode, got)
+		}
+	}
+	resp, raw := doJSON(t, ts, http.MethodGet, "/metrics", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics = %d\n%s", resp.StatusCode, raw)
+	}
+	var snap struct {
+		Cache struct {
+			Stream struct {
+				Hits   uint64 `json:"hits"`
+				Misses uint64 `json:"misses"`
+			} `json:"stream"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Cache.Stream; st.Misses == 0 || st.Hits == 0 {
+		t.Fatalf("cache.stream = %+v after a cold and a warm streamed sweep, want misses and hits\n%s", st, raw)
+	}
+}

@@ -2,9 +2,9 @@ package shuttle
 
 // This file adapts Params into the core.Stages timing-backend seam
 // (perf.TimingBackend). The heavy lifting — per-gate transport paths,
-// junction contention, the multi-lane pricing kernel — lives in
-// internal/perf (Binding.AttachTransport / TimeTransportAll) so that the
-// kernel can share the weak-link sweep's pooled scratch; this file only
+// junction contention, the multi-lane pricing — lives in internal/perf
+// (Binding.AttachTransport / TimeTransportAll) so that transport is priced
+// by the same fold as the weak-link model; this file only
 // carries the parameters across the boundary and names the backend for
 // flags, request schemas, and cache keys.
 
