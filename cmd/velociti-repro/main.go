@@ -166,11 +166,10 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	clock := func(name string) {
 		if *cacheStats {
 			cur := pipeline.Stats()
-			fmt.Fprintf(os.Stderr, "velociti-repro: %s in %s [place %s | synth %s | bind %s]\n",
+			fmt.Fprintf(os.Stderr, "velociti-repro: %s in %s [bind %s | stream %s]\n",
 				name, time.Since(lap).Round(time.Millisecond),
-				statsDelta(cur.Place, prev.Place),
-				statsDelta(cur.Synthesize, prev.Synthesize),
-				statsDelta(cur.Bind, prev.Bind))
+				statsDelta(cur.Bind, prev.Bind),
+				statsDelta(cur.Stream, prev.Stream))
 			prev = cur
 		} else {
 			fmt.Fprintf(os.Stderr, "velociti-repro: %s in %s\n", name, time.Since(lap).Round(time.Millisecond))

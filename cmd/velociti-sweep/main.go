@@ -157,8 +157,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		for _, stage := range []struct {
 			name string
 			s    cache.Stats
-		}{{"place", st.Place}, {"synth", st.Synthesize}, {"search", st.Search}, {"bind", st.Bind}, {"stream", st.Stream}} {
-			fmt.Fprintf(os.Stderr, "velociti-sweep: cache %-5s %d hit / %d miss / %d evict / %d resident\n",
+		}{{"bind", st.Bind}, {"stream", st.Stream}} {
+			fmt.Fprintf(os.Stderr, "velociti-sweep: cache %-6s %d hit / %d miss / %d evict / %d resident\n",
 				stage.name, stage.s.Hits, stage.s.Misses, stage.s.Evictions, stage.s.Entries)
 		}
 	}

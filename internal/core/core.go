@@ -18,7 +18,6 @@ import (
 	"velociti/internal/circuit"
 	"velociti/internal/perf"
 	"velociti/internal/placement"
-	"velociti/internal/pool"
 	"velociti/internal/schedule"
 	"velociti/internal/stats"
 	"velociti/internal/ti"
@@ -72,11 +71,11 @@ type Config struct {
 	// every trial derives its own seed and the report preserves trial
 	// order.
 	Workers int
-	// Pipeline, when non-nil, memoizes latency-independent stage artifacts
-	// (layouts, synthesized circuits, gate-class bindings) across runs that
-	// share it. Caching never changes results — artifacts are keyed by
-	// everything that influences them — it only skips recomputation; see
-	// stages.go.
+	// Pipeline, when non-nil, memoizes each trial's latency-independent
+	// artifact (its gate-class binding, which carries the circuit and
+	// layout) and streamed results across runs that share it. Caching
+	// never changes results — artifacts are keyed by everything that
+	// influences them — it only skips recomputation; see stages.go.
 	Pipeline *Pipeline
 	// Backend selects the timing backend that prices bound circuits at
 	// the Bind/Time seam: nil selects the paper's weak-link parallel
@@ -248,35 +247,15 @@ func Run(cfg Config) (*Report, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled the trial
-// pool stops dispatching and ctx's error is returned. Results are
-// bit-identical to Run at every worker count.
+// RunContext is Run with cancellation: a one-lane RunSweepContext priced
+// under the configured timing model. Results are bit-identical to Run at
+// every worker count.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.normalized()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var err error
-	if cfg, err = cfg.materializeProgram(); err != nil {
-		return nil, err
-	}
-	spec := cfg.workloadSpec()
-	device, err := ti.DeviceFor(spec.Qubits, cfg.ChainLength, cfg.Topology)
+	reports, err := RunSweepContext(ctx, cfg, []perf.Latencies{cfg.normalized().Latencies})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Stream {
-		trials, sst, err := runStreamTrials(ctx, cfg, newStages(cfg, spec, device))
-		if err != nil {
-			return nil, err
-		}
-		return buildReport(fillStreamedSpec(cfg, spec, sst), device, trials), nil
-	}
-	trials, err := runTrials(ctx, cfg, spec, device)
-	if err != nil {
-		return nil, err
-	}
-	return buildReport(spec, device, trials), nil
+	return reports[0], nil
 }
 
 // buildReport aggregates per-trial results into summary statistics, in
@@ -312,88 +291,25 @@ func buildReport(spec circuit.Spec, device *ti.Device, trials []TrialResult) *Re
 	return report
 }
 
-// runTrials executes every trial through the shared worker-pool runner and
-// the stage pipeline, preserving trial order in the result. Trial i derives
-// its own seed from the master seed, so results are bit-identical at every
-// worker count. Each trial binds its gate classes once (Place → Synthesize
-// → Bind, memoized when cfg.Pipeline is set) and prices them under the
-// configured timing model.
-func runTrials(ctx context.Context, cfg Config, spec circuit.Spec, device *ti.Device) ([]TrialResult, error) {
-	trials := make([]TrialResult, cfg.Runs)
-	st := newStages(cfg, spec, device)
-	err := pool.Run(ctx, cfg.Workers, cfg.Runs, func(i int) error {
-		seed := stats.SplitSeed(cfg.Seed, i)
-		b, err := st.Bind(seed)
-		if err != nil {
-			return fmt.Errorf("core: trial %d: %w", i, err)
-		}
-		res, err := st.Time(b, cfg.Latencies)
-		if err != nil {
-			return fmt.Errorf("core: trial %d: %w", i, err)
-		}
-		trials[i] = TrialResult{Seed: seed, Perf: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return trials, nil
-}
-
 // RunOnce executes a single trial with an explicit seed, returning the
 // placed circuit and layout alongside the evaluation — the building block
-// for detailed inspection (critical paths, DOT dumps, timelines).
+// for detailed inspection (critical paths, DOT dumps, timelines). It is
+// trial i of Run when seed is stats.SplitSeed(cfg.Seed, i).
 func RunOnce(cfg Config, seed int64) (*circuit.Circuit, *ti.Layout, perf.Result, error) {
-	cfg = cfg.normalized()
-	if err := cfg.Validate(); err != nil {
+	st, err := NewStages(cfg)
+	if err != nil {
 		return nil, nil, perf.Result{}, err
 	}
-	if cfg.Stream {
+	if st.cfg.Stream {
 		return nil, nil, perf.Result{}, verr.Inputf("core: RunOnce inspects materialized artifacts (circuit, critical path); disable Stream")
 	}
-	var merr error
-	if cfg, merr = cfg.materializeProgram(); merr != nil {
-		return nil, nil, perf.Result{}, merr
-	}
-	spec := cfg.workloadSpec()
-	device, err := ti.DeviceFor(spec.Qubits, cfg.ChainLength, cfg.Topology)
+	b, err := st.Bind(seed)
 	if err != nil {
 		return nil, nil, perf.Result{}, err
 	}
-	r := stats.NewRand(seed)
-	layout, err := cfg.Placement.Place(device, spec.Qubits, r)
+	res, err := st.Time(b, st.cfg.Latencies)
 	if err != nil {
 		return nil, nil, perf.Result{}, err
 	}
-	var c *circuit.Circuit
-	if cfg.Circuit != nil {
-		c = cfg.Circuit
-	} else {
-		c, err = cfg.Placer.Place(spec, layout, r)
-		if err != nil {
-			return nil, nil, perf.Result{}, err
-		}
-		// Search-capable placers re-place the layout against the
-		// synthesized circuit, exactly like the stage pipeline's search
-		// stage: the search seed is split off the trial seed, so the
-		// trial's own stream stays untouched.
-		if searcher, ok := cfg.Placer.(schedule.LayoutSearcher); ok {
-			layout, err = searcher.SearchLayout(perf.NewEvaluator(c), layout, cfg.Backend, stats.SplitSeed(seed, searchSeedTag))
-			if err != nil {
-				return nil, nil, perf.Result{}, err
-			}
-		}
-	}
-	b, err := perf.NewEvaluator(c).Bind(layout)
-	if err == nil {
-		err = cfg.Backend.Prepare(b, layout)
-	}
-	var res perf.Result
-	if err == nil {
-		res, err = cfg.Backend.Time(b, cfg.Latencies)
-	}
-	if err != nil {
-		return nil, nil, perf.Result{}, err
-	}
-	return c, layout, res, nil
+	return b.Evaluator().Circuit(), b.Layout(), res, nil
 }

@@ -9,6 +9,8 @@ import (
 	"velociti/internal/perf"
 	"velociti/internal/placement"
 	"velociti/internal/schedule"
+	"velociti/internal/shuttle"
+	"velociti/internal/stats"
 	"velociti/internal/workload"
 )
 
@@ -203,15 +205,16 @@ func TestUnkeyablePolicyBypassesCache(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("bypassed pipeline changed results")
 	}
-	if st := pl.Stats(); st.Place.Entries+st.Synthesize.Entries+st.Bind.Entries != 0 {
+	if st := pl.Stats(); st.Bind.Entries+st.Stream.Entries != 0 {
 		t.Fatalf("unkeyable policy stored artifacts: %+v", st)
 	}
 }
 
 // TestSearchStageCachesAnnealedLayouts pins the search stage's cache
-// behavior: one miss per trial on a cold pipeline, pure hits on a warm
-// one, and the searched layouts actually change the outcome relative to
-// the same config under the plain random placer.
+// behavior: the searched layout travels on the trial's binding, so a cold
+// pipeline misses Bind once per trial, a warm one hits it once per trial
+// without searching again, and the searched layouts actually change the
+// outcome relative to the same config under the plain random placer.
 func TestSearchStageCachesAnnealedLayouts(t *testing.T) {
 	pl := core.NewPipeline()
 	cfg := core.Config{
@@ -223,16 +226,19 @@ func TestSearchStageCachesAnnealedLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := pl.Stats()
-	if st.Search.Misses != uint64(cfg.Runs) || st.Search.Hits != 0 {
-		t.Fatalf("cold search stats = %+v, want %d misses and no hits", st.Search, cfg.Runs)
+	if st.Bind.Misses != uint64(cfg.Runs) || st.Bind.Hits != 0 {
+		t.Fatalf("cold bind stats = %+v, want %d misses and no hits", st.Bind, cfg.Runs)
 	}
-	if _, err := core.Run(cfg); err != nil {
+	warm, err := core.Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The warm pass short-circuits at Bind, so the search cache simply must
-	// not recompute; any new miss means the key failed to round-trip.
-	if st = pl.Stats(); st.Search.Misses != uint64(cfg.Runs) {
-		t.Fatalf("warm search stats = %+v, want no new misses", st.Search)
+	// Any new miss means the key failed to round-trip.
+	if st = pl.Stats(); st.Bind.Misses != uint64(cfg.Runs) || st.Bind.Hits != uint64(cfg.Runs) {
+		t.Fatalf("warm bind stats = %+v, want no new misses and %d hits", st.Bind, cfg.Runs)
+	}
+	if !reflect.DeepEqual(warm, annealed) {
+		t.Fatal("warm annealed run diverges from cold")
 	}
 	random := cfg
 	random.Placer = schedule.Random{}
@@ -291,5 +297,100 @@ func TestStagesExplicitCircuitSharing(t *testing.T) {
 	}
 	if st2 := pl.Stats(); st2.Bind.Entries != 5 {
 		t.Fatalf("Bind entries = %d, want one per trial seed", st2.Bind.Entries)
+	}
+}
+
+// TestNewStagesMaterializesProgram pins the one-constructor contract for a
+// non-streaming Program: NewStages builds it into its circuit, so a trial
+// bound through the stage API prices the same gates as Run's trial 0.
+func TestNewStagesMaterializesProgram(t *testing.T) {
+	prog, err := apps.QFTProgram(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Program: &prog, ChainLength: 8, Runs: 2, Seed: 5}
+	rep, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.NewStages(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.Bind(rep.Trials[0].Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := b.Evaluator().Circuit()
+	if c.NumOneQubitGates() != rep.Spec.OneQubitGates || c.NumTwoQubitGates() != rep.Spec.TwoQubitGates || b.NumGates() == 0 {
+		t.Fatalf("bound %d gates (%d 1q, %d 2q), Run priced %d 1q and %d 2q",
+			b.NumGates(), c.NumOneQubitGates(), c.NumTwoQubitGates(), rep.Spec.OneQubitGates, rep.Spec.TwoQubitGates)
+	}
+	got, err := st.Time(b, perf.DefaultLatencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rep.Trials[0].Perf) {
+		t.Fatalf("Bind+Time = %+v, Run trial 0 = %+v", got, rep.Trials[0].Perf)
+	}
+}
+
+// TestRunOnceIsTrialOfRun pins RunOnce as trial i of Run across every
+// workload form and trial shape — spec mode, an explicit circuit, a
+// non-streaming Program, a layout-searching placer, and the shuttle
+// backend — with and without a shared pipeline: the result equals
+// Run(cfg).Trials[i].Perf, critical path included, and the returned
+// circuit and layout are the ones that trial bound.
+func TestRunOnceIsTrialOfRun(t *testing.T) {
+	qft, err := apps.QFT(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := apps.QFTProgram(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Random(20, 80)
+	cases := map[string]core.Config{
+		"spec":     {Spec: spec, ChainLength: 8},
+		"circuit":  {Circuit: qft, ChainLength: 4},
+		"program":  {Program: &prog, ChainLength: 8},
+		"annealed": {Spec: spec, ChainLength: 4, Placer: schedule.Annealed{Moves: 300}},
+		"shuttle":  {Spec: spec, ChainLength: 8, Backend: shuttle.Backend{Params: shuttle.Default()}},
+	}
+	for name, cfg := range cases {
+		cfg.Runs, cfg.Seed = 3, 29
+		for _, pl := range []*core.Pipeline{nil, core.NewPipeline()} {
+			cfg.Pipeline = pl
+			rep, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := core.NewStages(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tr := range rep.Trials {
+				seed := stats.SplitSeed(cfg.Seed, i)
+				c, l, res, err := core.RunOnce(cfg, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, tr.Perf) {
+					t.Fatalf("%s cached=%v trial %d: RunOnce = %+v, Run = %+v", name, pl != nil, i, res, tr.Perf)
+				}
+				b, err := st.Bind(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(c, b.Evaluator().Circuit()) || !reflect.DeepEqual(l, b.Layout()) {
+					t.Fatalf("%s cached=%v trial %d: RunOnce artifacts differ from the trial's binding", name, pl != nil, i)
+				}
+				// A shared pipeline hands RunOnce the very binding Run cached.
+				if pl != nil && (c != b.Evaluator().Circuit() || l != b.Layout()) {
+					t.Fatalf("%s trial %d: RunOnce missed the cached binding", name, i)
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 // This file is the streaming trial path: the counterpart of the coupled
-// Place → Synthesize → Bind → Time stages for workloads too large to
-// materialize. One streaming trial places qubits, then pushes the
-// workload's gates straight through the backend's frontier kernel
-// (perf.SourceTimer), pricing every requested timing model in one pass.
+// trial → Bind → Time stages for workloads too large to materialize. One
+// streaming trial places qubits, then pushes the workload's gates straight
+// through the backend's frontier kernel (perf.SourceTimer), pricing every
+// requested timing model in one pass.
 // Peak memory is O(qubits + window), independent of the gate count.
 //
 // Equivalence contract (pinned by stream_test.go): for every workload
@@ -18,12 +18,10 @@ package core
 // EmitPlace draws the stream identically to Place.
 
 import (
-	"context"
 	"fmt"
 
 	"velociti/internal/circuit"
 	"velociti/internal/perf"
-	"velociti/internal/pool"
 	"velociti/internal/schedule"
 	"velociti/internal/stats"
 	"velociti/internal/ti"
@@ -112,9 +110,6 @@ func (s *Stages) streamSource(seed int64) (circuit.Source, *ti.Layout, error) {
 	if err != nil {
 		return circuit.Source{}, nil, err
 	}
-	if s.pl != nil && s.placeKey != "" {
-		s.pl.place.Put(seedKey(s.placeKey, seed), layout)
-	}
 	if s.cfg.Circuit != nil {
 		return s.cfg.Circuit.Source(), layout, nil
 	}
@@ -140,47 +135,6 @@ func (s *Stages) streamSource(seed int64) (circuit.Source, *ti.Layout, error) {
 			return e.Err()
 		},
 	}, layout, nil
-}
-
-// streamSweep executes every trial through the streaming path, pricing
-// all lats lanes per trial. It returns the per-trial lane results in
-// trial order, the derived seeds, and trial 0's stream statistics (every
-// trial of a deterministic workload streams the same gate counts; spec
-// mode synthesizes per seed, where trial 0 is the conventional
-// representative for report metadata).
-func streamSweep(ctx context.Context, cfg Config, st *Stages, lats []perf.Latencies) ([][]perf.Result, []int64, perf.StreamStats, error) {
-	perTrial := make([][]perf.Result, cfg.Runs)
-	seeds := make([]int64, cfg.Runs)
-	perStats := make([]perf.StreamStats, cfg.Runs)
-	err := pool.Run(ctx, cfg.Workers, cfg.Runs, func(i int) error {
-		seed := stats.SplitSeed(cfg.Seed, i)
-		rs, sst, err := st.StreamEval(seed, lats)
-		if err != nil {
-			return fmt.Errorf("core: trial %d: %w", i, err)
-		}
-		seeds[i] = seed
-		perTrial[i] = rs
-		perStats[i] = sst
-		return nil
-	})
-	if err != nil {
-		return nil, nil, perf.StreamStats{}, err
-	}
-	return perTrial, seeds, perStats[0], nil
-}
-
-// runStreamTrials is the streaming counterpart of runTrials: one lane
-// (cfg.Latencies) per trial.
-func runStreamTrials(ctx context.Context, cfg Config, st *Stages) ([]TrialResult, perf.StreamStats, error) {
-	perTrial, seeds, sst, err := streamSweep(ctx, cfg, st, []perf.Latencies{cfg.Latencies})
-	if err != nil {
-		return nil, perf.StreamStats{}, err
-	}
-	trials := make([]TrialResult, cfg.Runs)
-	for i := range trials {
-		trials[i] = TrialResult{Seed: seeds[i], Perf: perTrial[i][0]}
-	}
-	return trials, sst, nil
 }
 
 // fillStreamedSpec backfills report gate counts that a streamed Program

@@ -1,6 +1,6 @@
 package core
 
-// BindAll is the plan-grouped explorer's batched stage-3: one coupled trial
+// BindAll is the plan-grouped explorer's batched Bind: one coupled trial
 // (one RNG stream: placement, then synthesis over the stream state placement
 // left behind) classified under every timing model of a sweep at once. The
 // per-lane artifacts integrate with the same pipeline caches the per-cell
@@ -47,15 +47,12 @@ func (s *Stages) BindAll(seed int64, lats []perf.Latencies) ([]*perf.Binding, er
 		return nil, fmt.Errorf("core: placer %q does not support batched synthesis", s.cfg.Placer.Name())
 	}
 
-	// Per-lane bind/synth cache keys ("" disables caching for the lane).
+	// Per-lane bind cache keys ("" disables caching for the lane).
 	bindKeys := make([]string, nl)
-	synthKeys := make([]string, nl)
 	if s.pl != nil && s.keyPol != "" {
 		for j := range lats {
 			if pk, ok := policyKey(sp.At(lats[j])); ok {
-				sk, bk := s.stageKeys(pk)
-				synthKeys[j] = seedKey(sk, seed)
-				bindKeys[j] = seedKey(bk, seed)
+				bindKeys[j] = seedKey(s.placerBindKey(pk), seed)
 			}
 		}
 		// All-lanes-hit fast path; a partial hit recomputes everything,
@@ -90,9 +87,6 @@ func (s *Stages) BindAll(seed int64, lats []perf.Latencies) ([]*perf.Binding, er
 	if err != nil {
 		return nil, err
 	}
-	if s.pl != nil && s.placeKey != "" {
-		s.pl.place.Put(seedKey(s.placeKey, seed), layout)
-	}
 	for j, c := range circs {
 		// Lanes aliasing an earlier lane's circuit share its binding.
 		aliased := false
@@ -116,13 +110,8 @@ func (s *Stages) BindAll(seed int64, lats []perf.Latencies) ([]*perf.Binding, er
 			return nil, err
 		}
 		out[j] = b
-		if s.pl != nil {
-			if synthKeys[j] != "" {
-				s.pl.synth.Put(synthKeys[j], b.Evaluator())
-			}
-			if bindKeys[j] != "" {
-				s.pl.bind.Put(bindKeys[j], b)
-			}
+		if bindKeys[j] != "" {
+			s.pl.bind.Put(bindKeys[j], b)
 		}
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"velociti/internal/apps"
 	"velociti/internal/circuit"
 	"velociti/internal/core"
+	"velociti/internal/perf"
 	"velociti/internal/placement"
 	"velociti/internal/schedule"
 	"velociti/internal/shuttle"
@@ -191,8 +192,11 @@ func (r *CommResult) CSV() string {
 // AblationComm compares the paper's weak-link model against the QCCD
 // shuttling alternative (internal/shuttle) on the QAOA workload across the
 // α sweep: as the photonic link degrades (α grows), physical transport
-// becomes the better mechanism. Per-trial circuits and placements are
-// shared between the two mechanisms.
+// becomes the better mechanism. Each trial is bound once through the stage
+// graph and feeds both columns: the weak-link column prices the binding
+// under every α in one parametric pass, and the contention-free shuttling
+// model (shuttle.Compare) prices the same (circuit, layout) pair once,
+// since its transport time does not depend on α.
 func AblationComm(opt Options) (*CommResult, error) {
 	return AblationCommContext(context.Background(), opt)
 }
@@ -210,54 +214,48 @@ func AblationCommContext(ctx context.Context, opt Options) (*CommResult, error) 
 		Name:           "Ablation: cross-chain communication mechanism (QAOA, 16-ion chains)",
 		BreakEvenAlpha: breakEven,
 	}
-	// The per-trial circuit and placement depend only on the seed, never on
-	// α, so synthesize each trial once and re-price it under every α —
-	// shuttle.Compare sees the identical (circuit, layout) pair the per-α
-	// loop used to rebuild.
-	type commTrial struct {
-		c      *circuit.Circuit
-		layout *ti.Layout
-	}
-	device, err := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
+	// The weak-link column prices the paper's model, whatever opt.Backend
+	// says.
+	cfg := opt.baseConfig(spec, 16)
+	cfg.Backend = nil
+	st, err := core.NewStages(cfg)
 	if err != nil {
 		return nil, err
 	}
-	trials := make([]commTrial, opt.Runs)
-	for i := range trials {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := stats.NewRand(stats.SplitSeed(opt.Seed, i))
-		layout, err := placement.Random{}.Place(device, spec.Qubits, r)
-		if err != nil {
-			return nil, err
-		}
-		c, err := schedule.Random{}.Place(spec, layout, r)
-		if err != nil {
-			return nil, err
-		}
-		trials[i] = commTrial{c: c, layout: layout}
-	}
 	// Extend the sweep above Table III's range to expose the crossover.
 	alphas := append(append([]float64{}, ScalingAlphas...), 3.0, 4.0, 5.0)
-	for _, alpha := range alphas {
+	lats := make([]perf.Latencies, len(alphas))
+	for j, alpha := range alphas {
+		lats[j] = opt.Latencies
+		lats[j].WeakPenalty = alpha
+	}
+	weakSums := make([]float64, len(alphas))
+	var shuttleSum float64
+	for i := 0; i < opt.Runs; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lat := opt.Latencies
-		lat.WeakPenalty = alpha
-		var weakSum, shuttleSum float64
-		for _, tr := range trials {
-			cmp, err := shuttle.Compare(tr.c, tr.layout, lat, params)
-			if err != nil {
-				return nil, err
-			}
-			weakSum += cmp.WeakLinkMicros
-			shuttleSum += cmp.ShuttleMicros
+		b, err := st.Bind(stats.SplitSeed(opt.Seed, i))
+		if err != nil {
+			return nil, err
 		}
+		rs, err := st.TimeAll(b, lats)
+		if err != nil {
+			return nil, err
+		}
+		for j, r := range rs {
+			weakSums[j] += r.ParallelMicros
+		}
+		cmp, err := shuttle.Compare(b.Evaluator().Circuit(), b.Layout(), opt.Latencies, params)
+		if err != nil {
+			return nil, err
+		}
+		shuttleSum += cmp.ShuttleMicros
+	}
+	for j, alpha := range alphas {
 		row := CommRow{
 			Alpha:     alpha,
-			WeakMs:    weakSum / float64(opt.Runs) / 1000,
+			WeakMs:    weakSums[j] / float64(opt.Runs) / 1000,
 			ShuttleMs: shuttleSum / float64(opt.Runs) / 1000,
 		}
 		if row.WeakMs <= row.ShuttleMs {

@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"velociti/internal/apps"
+	"velociti/internal/core"
 	"velociti/internal/perf"
-	"velociti/internal/placement"
-	"velociti/internal/schedule"
 	"velociti/internal/stats"
-	"velociti/internal/ti"
 )
 
 // CapacityLevels is the per-chain concurrent-gate budget sweep of the
@@ -47,17 +45,21 @@ func ExtControlCapacity(opt Options) (*CapacityResult, error) {
 	return ExtControlCapacityContext(context.Background(), opt)
 }
 
-// ExtControlCapacityContext is ExtControlCapacity with cancellation. The
-// constrained scheduler needs the explicit gate list per trial, which the
-// stage pipeline's bindings do not carry, so this driver keeps its own trial
-// loop; pricing rides the batched kernel instead, which replays the list
-// scheduler once per capacity level over a single shared event-state build.
+// ExtControlCapacityContext is ExtControlCapacity with cancellation. Each
+// trial is bound through the stage graph, and the binding carries the
+// explicit gate list and layout the constrained scheduler needs; pricing
+// rides the batched kernel, which replays the list scheduler once per
+// capacity level over a single shared event-state build.
 func ExtControlCapacityContext(ctx context.Context, opt Options) (*CapacityResult, error) {
 	opt = opt.normalized()
 	res := &CapacityResult{Levels: CapacityLevels}
 	var slowdowns []float64
 	for _, spec := range apps.PaperSpecs() {
-		device, err := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
+		// The constrained model prices weak-link gates, whatever
+		// opt.Backend says.
+		cfg := opt.baseConfig(spec, 16)
+		cfg.Backend = nil
+		st, err := core.NewStages(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -67,20 +69,13 @@ func ExtControlCapacityContext(ctx context.Context, opt Options) (*CapacityResul
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			r := stats.PooledRand(stats.SplitSeed(opt.Seed, i))
-			layout, err := placement.Random{}.Place(device, spec.Qubits, r)
-			if err != nil {
-				stats.RecycleRand(r)
-				return nil, err
-			}
-			c, err := schedule.Random{}.Place(spec, layout, r)
-			stats.RecycleRand(r)
+			b, err := st.Bind(stats.SplitSeed(opt.Seed, i))
 			if err != nil {
 				return nil, err
 			}
 			// One batched call prices every level; entry k is pinned equal
 			// to ParallelTimeConstrained at CapacityLevels[k].
-			ts, err := perf.ParallelTimeConstrainedAll(c, layout, opt.Latencies, CapacityLevels)
+			ts, err := perf.ParallelTimeConstrainedAll(b.Evaluator().Circuit(), b.Layout(), opt.Latencies, CapacityLevels)
 			if err != nil {
 				return nil, err
 			}

@@ -42,11 +42,13 @@ const NumGateClasses = int(numClasses)
 
 // Binding is the layout-dependent but latency-independent artifact of one
 // (circuit, layout) pair: per-gate latency classes over the evaluator's CSR
-// arrays, plus the weak-gate and links-used counts. A Binding is immutable
-// after construction and safe for concurrent use, so sweep engines share
-// one across α cells and worker goroutines.
+// arrays, plus the weak-gate and links-used counts. It records the layout
+// it was bound against, so one Binding carries a whole trial's artifacts.
+// A Binding is immutable after construction and safe for concurrent use,
+// so sweep engines share one across α cells and worker goroutines.
 type Binding struct {
 	ev      *Evaluator
+	layout  *ti.Layout
 	classes []GateClass
 	weak    int
 	links   int
@@ -61,7 +63,7 @@ func (e *Evaluator) Bind(l *ti.Layout) (*Binding, error) {
 	if e.c.NumQubits() > l.NumQubits() {
 		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", e.c.NumQubits(), l.NumQubits())
 	}
-	b := &Binding{ev: e, classes: make([]GateClass, e.n)}
+	b := &Binding{ev: e, layout: l, classes: make([]GateClass, e.n)}
 	// One walk both classifies gates and tallies Table I's w (distinct
 	// weak links used): the chain pair is resolved once per gate. The
 	// pair→link table keeps the lowest-numbered link joining each pair,
@@ -147,7 +149,7 @@ func BindCircuitScratch(c *circuit.Circuit, l *ti.Layout) (*Binding, error) {
 	}
 	e.twoQ = e.twoQ[:n]
 
-	b := &Binding{ev: e, classes: make([]GateClass, n)}
+	b := &Binding{ev: e, layout: l, classes: make([]GateClass, n)}
 	s, pairLink, used, nc := newBindScratch(l)
 	chainOf := l.ChainAssignments()
 	gs := c.Gates()
@@ -194,6 +196,9 @@ var bindScratchPool = sync.Pool{New: func() any { return new(bindScratch) }}
 
 // Evaluator returns the evaluator the binding was built from.
 func (b *Binding) Evaluator() *Evaluator { return b.ev }
+
+// Layout returns the layout the binding was built against.
+func (b *Binding) Layout() *ti.Layout { return b.layout }
 
 // NumGates returns the number of bound gates.
 func (b *Binding) NumGates() int { return b.ev.n }

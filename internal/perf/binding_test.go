@@ -35,6 +35,17 @@ func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat
 	if err != nil {
 		t.Fatalf("%s: Bind: %v", tag, err)
 	}
+	// Both binding constructors record the layout they were bound against.
+	sb, err := perf.BindCircuitScratch(c, l)
+	if err != nil {
+		t.Fatalf("%s: BindCircuitScratch: %v", tag, err)
+	}
+	if b.Layout() != l || sb.Layout() != l {
+		t.Fatalf("%s: bindings record layouts %p and %p, want %p", tag, b.Layout(), sb.Layout(), l)
+	}
+	if !reflect.DeepEqual(sb.Classes(), b.Classes()) {
+		t.Fatalf("%s: BindCircuitScratch classes diverge from Bind", tag)
+	}
 	want := make([]perf.Result, len(lats))
 	for i, lat := range lats {
 		want[i], err = perf.Evaluate(c, l, lat)

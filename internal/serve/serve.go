@@ -7,8 +7,9 @@
 //
 //   - a shared cross-request artifact cache (one core.Pipeline for the
 //     whole process, content-keyed by internal/cache fingerprints), so a
-//     layout or synthesized circuit computed for one request is free for
-//     every later request that agrees on the inputs;
+//     trial bound for one request — layout, circuit and gate classes,
+//     cached together as its Binding — is free for every later request
+//     that agrees on the inputs;
 //   - single-flight coalescing (coalesce.go): concurrent identical plans
 //     cost one synthesis and receive bit-identical bodies;
 //   - bounded admission with backpressure (admission.go): a fixed number
