@@ -260,6 +260,7 @@ func BenchmarkGateGraphConstruction(b *testing.B) {
 func BenchmarkQASMParseQFT64(b *testing.B) {
 	text := qasm.Serialize(bc(b)(apps.QFT(64)))
 	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := qasm.ParseCircuit("qft64", text); err != nil {

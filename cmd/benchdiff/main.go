@@ -122,8 +122,9 @@ func (m *metric) UnmarshalJSON(data []byte) error {
 
 // benchLine matches one result row of `go test -bench` output, e.g.
 // "BenchmarkX-8   200   199960 ns/op   221568 B/op   1141 allocs/op"
-// (the memory columns appear under ReportAllocs or -benchmem).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
+// (the memory columns appear under ReportAllocs or -benchmem, after the
+// MB/s column of a benchmark that calls SetBytes).
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {

@@ -84,6 +84,14 @@ func TestParseBenchMemoryColumns(t *testing.T) {
 	if q := got["BenchmarkParallelModelQFT"]; q.AllocsOp != nil {
 		t.Fatalf("memory metric leaked onto a row without columns: %+v", q)
 	}
+	// A benchmark that calls SetBytes prints MB/s before the memory columns.
+	got, err = parseBench(strings.NewReader("BenchmarkQASMParseQFT64-8 \t 1\t 36417225 ns/op\t 7.33 MB/s\t 7623080 B/op\t 127448 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := got["BenchmarkQASMParseQFT64"]; q.NsOp != 36417225 || q.AllocsOp == nil || *q.AllocsOp != 127448 || q.BOp == nil || *q.BOp != 7623080 {
+		t.Fatalf("SetBytes row = %+v", q)
+	}
 }
 
 func TestMetricJSONRoundTrip(t *testing.T) {

@@ -78,6 +78,13 @@ func TestMalformedInputExitStatus(t *testing.T) {
 	if err := os.WriteFile(badQASM, []byte("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[9];\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A parameter expression nested far past the parser's bound: it must
+	// be one invalid-input line, not a stack overflow.
+	deepQASM := filepath.Join(dir, "deep.qasm")
+	deep := "OPENQASM 2.0;\nqreg q[1];\nrx(" + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + ") q[0];\n"
+	if err := os.WriteFile(deepQASM, []byte(deep), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	badJSON := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(badJSON, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -96,6 +103,7 @@ func TestMalformedInputExitStatus(t *testing.T) {
 		{"missing circuit file", []string{"-circuit", filepath.Join(dir, "nope.json")}, "no such file"},
 		{"malformed circuit json", []string{"-circuit", badJSON}, "config"},
 		{"qasm out-of-range qubit", []string{"-qasm", badQASM}, "qasm"},
+		{"qasm deep expression", []string{"-qasm", deepQASM}, "parameter expression longer than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"velociti/internal/qasm"
@@ -133,7 +134,7 @@ func TestIncludeResolution(t *testing.T) {
 
 func TestIncludeErrors(t *testing.T) {
 	// Missing include file.
-	if _, err := qasm.ParseWithIncludes("t", `include "nope.inc"; qreg q[1];`,
+	if _, err := qasm.ParseReaderWithIncludes("t", strings.NewReader(`include "nope.inc"; qreg q[1];`),
 		func(string) (string, error) { return "", os.ErrNotExist }); err == nil {
 		t.Fatalf("missing include should fail")
 	}
@@ -141,7 +142,7 @@ func TestIncludeErrors(t *testing.T) {
 	loader := func(name string) (string, error) {
 		return `include "self.inc";`, nil
 	}
-	if _, err := qasm.ParseWithIncludes("t", `include "self.inc"; qreg q[1];`, loader); err == nil {
+	if _, err := qasm.ParseReaderWithIncludes("t", strings.NewReader(`include "self.inc"; qreg q[1];`), loader); err == nil {
 		t.Fatalf("include cycle should fail")
 	}
 	// Nil resolver rejects non-qelib includes (Parse path).

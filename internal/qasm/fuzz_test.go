@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"strings"
 	"testing"
 
 	"velociti/internal/verr"
@@ -22,6 +23,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("")
 	f.Add("OPENQASM 2.0;\n\x00\xff")
 	f.Add("OPENQASM 2.0;\nqreg q[99999999999999999999];\n")
+	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(" + strings.Repeat("-", maxExprTokens) + "1) q[0];\n") // one token past the expression bound
 
 	f.Fuzz(func(t *testing.T, src string) {
 		res, err := Parse("fuzz", src)

@@ -24,9 +24,10 @@
 package qasm
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -71,15 +72,20 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer splits OpenQASM source into tokens.
+// lexer splits OpenQASM source into tokens, pulling bytes from an
+// io.Reader on demand, so the text side holds O(longest token) bytes, not
+// O(file). Lookahead (two bytes for a comment, three for an exponent) is
+// bufio.Reader.Peek, which consumes nothing, so the reader only moves
+// forward.
 type lexer struct {
-	src  string
-	pos  int
+	r    *bufio.Reader
+	err  error // first read error, io.EOF included: the input ends there
 	line int
+	text []byte // scratch for the token being collected
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1}
+func newLexer(r io.Reader) *lexer {
+	return &lexer{r: bufio.NewReader(r), line: 1}
 }
 
 // errorf builds a positioned lexical error.
@@ -87,31 +93,61 @@ func (l *lexer) errorf(format string, args ...any) error {
 	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
+// peek returns up to n bytes of lookahead, fewer at the end of input.
+// Once a read has failed, only bytes already buffered are returned.
+func (l *lexer) peek(n int) []byte {
+	if l.err != nil {
+		n = min(n, l.r.Buffered())
 	}
-	return l.src[l.pos]
+	b, err := l.r.Peek(n)
+	if err != nil {
+		l.err = err
+	}
+	return b
 }
 
+// peekByte returns the next byte, or 0 at the end of input, which no
+// token class treats as significant.
+func (l *lexer) peekByte() byte {
+	if b := l.peek(1); len(b) == 1 {
+		return b[0]
+	}
+	return 0
+}
+
+// advance consumes the next byte, counting lines. Callers peek first, so
+// the read cannot fail; if it does, the input ends there all the same.
 func (l *lexer) advance() byte {
-	b := l.src[l.pos]
-	l.pos++
+	b, err := l.r.ReadByte()
+	if err != nil {
+		l.err = err
+	}
 	if b == '\n' {
 		l.line++
 	}
 	return b
 }
 
+// collect consumes the next byte into the token text.
+func (l *lexer) collect() { l.text = append(l.text, l.advance()) }
+
+func (l *lexer) collectDigits() {
+	for isDigit(l.peekByte()) {
+		l.collect()
+	}
+}
+
 // skipSpaceAndComments consumes whitespace and // line comments.
 func (l *lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		b := l.peekByte()
+	for {
+		b := l.peek(1)
 		switch {
-		case b == ' ' || b == '\t' || b == '\r' || b == '\n':
+		case len(b) == 0:
+			return
+		case b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n':
 			l.advance()
-		case b == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.peekByte() != '\n' {
+		case b[0] == '/' && string(l.peek(2)) == "//":
+			for b := l.peek(1); len(b) == 1 && b[0] != '\n'; b = l.peek(1) {
 				l.advance()
 			}
 		default:
@@ -120,70 +156,59 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-// next returns the next token.
+// next returns the next token. A read failure is reported like a
+// lexical error, at the line being lexed.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
-	if l.pos >= len(l.src) {
+	if l.err != nil && l.err != io.EOF {
+		return token{}, l.errorf("read: %v", l.err)
+	}
+	if len(l.peek(1)) == 0 {
 		return token{kind: tokEOF, line: l.line}, nil
 	}
-	start := l.pos
 	line := l.line
+	l.text = l.text[:0]
 	b := l.peekByte()
 	switch {
 	case isIdentStart(b):
-		for l.pos < len(l.src) && isIdentPart(l.peekByte()) {
-			l.advance()
+		for isIdentPart(l.peekByte()) {
+			l.collect()
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: line}, nil
-	case unicode.IsDigit(rune(b)) || b == '.':
-		seenDot := false
-		for l.pos < len(l.src) {
-			c := l.peekByte()
-			if unicode.IsDigit(rune(c)) {
-				l.advance()
-				continue
-			}
-			if c == '.' && !seenDot {
-				seenDot = true
-				l.advance()
-				continue
-			}
-			if (c == 'e' || c == 'E') && l.pos > start {
-				// Exponent: e[+-]?digits
-				save := l.pos
-				l.advance()
-				if l.peekByte() == '+' || l.peekByte() == '-' {
-					l.advance()
-				}
-				if !unicode.IsDigit(rune(l.peekByte())) {
-					l.pos = save
-					break
-				}
-				for l.pos < len(l.src) && unicode.IsDigit(rune(l.peekByte())) {
-					l.advance()
-				}
-			}
-			break
+		return token{kind: tokIdent, text: string(l.text), line: line}, nil
+	case isDigit(b) || b == '.':
+		// digits [. digits] [e[+-]digits]; the exponent is taken only
+		// when a digit follows, so nothing is consumed otherwise.
+		l.collectDigits()
+		if l.peekByte() == '.' {
+			l.collect()
+			l.collectDigits()
 		}
-		text := l.src[start:l.pos]
-		if text == "." {
+		if c := l.peekByte(); c == 'e' || c == 'E' {
+			n := 2
+			if s := l.peek(2); len(s) == 2 && (s[1] == '+' || s[1] == '-') {
+				n = 3
+			}
+			if s := l.peek(n); len(s) == n && isDigit(s[n-1]) {
+				for ; n > 0; n-- {
+					l.collect()
+				}
+				l.collectDigits()
+			}
+		}
+		if string(l.text) == "." {
 			return token{}, l.errorf("stray '.'")
 		}
-		return token{kind: tokNumber, text: text, line: line}, nil
+		return token{kind: tokNumber, text: string(l.text), line: line}, nil
 	case b == '"':
 		l.advance()
-		for l.pos < len(l.src) && l.peekByte() != '"' {
-			if l.peekByte() == '\n' {
+		for c := l.peek(1); string(c) != `"`; c = l.peek(1) {
+			if len(c) == 0 || c[0] == '\n' {
 				return token{}, l.errorf("unterminated string")
 			}
-			l.advance()
+			l.collect()
 		}
-		if l.pos >= len(l.src) {
-			return token{}, l.errorf("unterminated string")
-		}
-		text := l.src[start+1 : l.pos]
 		l.advance() // closing quote
-		return token{kind: tokString, text: text, line: line}, nil
+		return token{kind: tokString, text: string(l.text), line: line}, nil
 	case b == '-':
 		l.advance()
 		if l.peekByte() == '>' {
@@ -206,19 +231,19 @@ func (l *lexer) next() (token, error) {
 	}
 }
 
-// tokenize lexes the whole input.
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
+// drain lexes the rest of the input and returns its tokens, without the
+// final EOF.
+func (l *lexer) drain() ([]token, error) {
 	var out []token
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, t)
 		if t.kind == tokEOF {
 			return out, nil
 		}
+		out = append(out, t)
 	}
 }
 
@@ -227,5 +252,7 @@ func isIdentStart(b byte) bool {
 }
 
 func isIdentPart(b byte) bool {
-	return isIdentStart(b) || (b >= '0' && b <= '9')
+	return isIdentStart(b) || isDigit(b)
 }
+
+func isDigit(b byte) bool { return b >= '0' && b <= '9' }

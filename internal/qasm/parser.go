@@ -3,6 +3,8 @@ package qasm
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"velociti/internal/circuit"
 	"velociti/internal/verr"
@@ -19,41 +21,12 @@ type Result struct {
 	Resets       int
 }
 
-// Parse parses OpenQASM 2.0 source into a Result. The name is attached to
-// the produced circuit. Includes other than qelib1.inc are rejected; use
-// ParseWithIncludes or ParseFile to resolve them.
+// Parse parses OpenQASM 2.0 source into a Result; it is ParseReader over
+// the string. The name is attached to the produced circuit. Includes
+// other than qelib1.inc are rejected; use ParseReaderWithIncludes or
+// ParseFile to resolve them.
 func Parse(name, src string) (*Result, error) {
-	return ParseWithIncludes(name, src, nil)
-}
-
-// ParseWithIncludes parses OpenQASM 2.0 source, resolving include
-// directives other than qelib1.inc through the given loader (which maps an
-// include name to source text). A nil loader rejects such includes.
-//
-// All parse failures are input-kind errors (verr.ErrInput): QASM source is
-// untrusted input, so every rejection is a diagnostic, never a panic.
-func ParseWithIncludes(name, src string, resolve func(string) (string, error)) (*Result, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, verr.Mark(err)
-	}
-	p := &parser{
-		ts:      &sliceSource{toks: toks},
-		name:    name,
-		regs:    make(map[string]qreg),
-		cregs:   make(map[string]int),
-		gates:   make(map[string]*gateDef),
-		resolve: resolve,
-	}
-	if err := p.loadPrelude(); err != nil {
-		// The prelude is compiled in; failing to parse it is a bug, not
-		// bad input, so it stays unmarked.
-		return nil, fmt.Errorf("qasm: internal prelude: %w", err)
-	}
-	if err := p.parseProgram(); err != nil {
-		return nil, verr.Mark(err)
-	}
-	return p.finish()
+	return ParseReader(name, strings.NewReader(src))
 }
 
 // ParseCircuit is Parse returning only the circuit.
@@ -114,8 +87,14 @@ type bodyStmt struct {
 // definitions (illegal in OpenQASM 2.0 anyway).
 const maxExpandDepth = 64
 
+// maxExprTokens bounds the tokens in one parameter expression. The
+// descent recurses, and eval walks the tree, at most once per token, so
+// the bound keeps both stacks shallow on adversarial input.
+const maxExprTokens = 1024
+
 type parser struct {
-	ts tokenSource
+	ts         *streamSource
+	exprTokens int // tokens taken since the current parameter expression began
 
 	name      string
 	regs      map[string]qreg
@@ -136,22 +115,22 @@ type parser struct {
 
 // loadPrelude registers the qelib1 composite definitions.
 func (p *parser) loadPrelude() error {
-	toks, err := tokenize(qelibComposites)
-	if err != nil {
-		return err
-	}
-	sub := &parser{ts: &sliceSource{toks: toks}, gates: p.gates, regs: map[string]qreg{}, cregs: map[string]int{}}
+	src := &streamSource{lx: newLexer(strings.NewReader(qelibComposites))}
+	sub := &parser{ts: src, gates: p.gates, regs: map[string]qreg{}, cregs: map[string]int{}}
 	for sub.peek().kind != tokEOF {
 		if err := sub.parseGateDef(); err != nil {
 			return err
 		}
 	}
-	return nil
+	return src.err
 }
 
 func (p *parser) peek() token { return p.ts.peek() }
 
-func (p *parser) advance() token { return p.ts.advance() }
+func (p *parser) advance() token {
+	p.exprTokens++
+	return p.ts.advance()
+}
 
 func (p *parser) errorf(t token, format string, args ...any) error {
 	return fmt.Errorf("qasm: line %d: %s", t.line, fmt.Sprintf(format, args...))
@@ -262,7 +241,9 @@ func (p *parser) parseInclude() error {
 	if err != nil {
 		return p.errorf(t, "include %q: %v", t.text, err)
 	}
-	toks, err := tokenize(src)
+	// The body is lexed whole before it is spliced in, so a lexical
+	// error inside it is reported at this directive.
+	body, err := newLexer(strings.NewReader(src)).drain()
 	if err != nil {
 		return p.errorf(t, "include %q: %v", t.text, err)
 	}
@@ -270,9 +251,7 @@ func (p *parser) parseInclude() error {
 		p.included = make(map[string]bool)
 	}
 	p.included[t.text] = true
-	// Splice the included tokens (minus their EOF) ahead of the current
-	// position.
-	p.ts.splice(toks[:len(toks)-1])
+	p.ts.splice(body)
 	return nil
 }
 
@@ -370,6 +349,31 @@ func (p *parser) parseOpaque() error {
 	return p.expectSymbol(";")
 }
 
+// parseParamList parses an optional parenthesized list, calling item
+// once per element. OpenQASM 2.0 lists are empty or "item (, item)*". An
+// item's own error comes first; an item missing its comma is rejected
+// once it parses, and after a trailing comma item rejects the ")".
+func (p *parser) parseParamList(item func() error) error {
+	if !p.atSymbol("(") {
+		return nil
+	}
+	p.advance()
+	for n, comma := 0, false; comma || !p.atSymbol(")"); n++ {
+		t := p.peek()
+		if err := item(); err != nil {
+			return err
+		}
+		if n > 0 && !comma {
+			return p.errorf(t, "missing comma before %s in parameter list", t)
+		}
+		if comma = p.atSymbol(","); comma {
+			p.advance()
+		}
+	}
+	p.advance() // )
+	return nil
+}
+
 // parseGateDef parses "gate name(params) qargs { body }".
 func (p *parser) parseGateDef() error {
 	gateTok := p.advance() // gate
@@ -378,19 +382,13 @@ func (p *parser) parseGateDef() error {
 		return err
 	}
 	def := &gateDef{name: name.text}
-	if p.atSymbol("(") {
-		p.advance()
-		for !p.atSymbol(")") {
-			id, err := p.expectIdent()
-			if err != nil {
-				return err
-			}
-			def.params = append(def.params, id.text)
-			if p.atSymbol(",") {
-				p.advance()
-			}
-		}
-		p.advance() // )
+	err = p.parseParamList(func() error {
+		id, err := p.expectIdent()
+		def.params = append(def.params, id.text)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	for {
 		id, err := p.expectIdent()
@@ -451,19 +449,13 @@ func (p *parser) parseBodyStmt(def *gateDef, formalQ, formalP map[string]bool) (
 		return bodyStmt{}, err
 	}
 	stmt := bodyStmt{name: name.text, line: name.line}
-	if p.atSymbol("(") {
-		p.advance()
-		for !p.atSymbol(")") {
-			e, err := p.parseExpr(formalP)
-			if err != nil {
-				return bodyStmt{}, err
-			}
-			stmt.exprs = append(stmt.exprs, e)
-			if p.atSymbol(",") {
-				p.advance()
-			}
-		}
-		p.advance() // )
+	err = p.parseParamList(func() error {
+		e, err := p.parseParam(formalP)
+		stmt.exprs = append(stmt.exprs, e)
+		return err
+	})
+	if err != nil {
+		return bodyStmt{}, err
 	}
 	for {
 		arg, err := p.expectIdent()
@@ -526,23 +518,20 @@ func (p *parser) parseGateApplication() error {
 		return p.errorf(name, "cannot apply opaque gate %q (no definition)", name.text)
 	}
 	var vals []float64
-	if p.atSymbol("(") {
-		p.advance()
-		for !p.atSymbol(")") {
-			e, err := p.parseExpr(nil)
-			if err != nil {
-				return err
-			}
-			v, err := e.eval(nil)
-			if err != nil {
-				return p.errorf(name, "%v", err)
-			}
-			vals = append(vals, v)
-			if p.atSymbol(",") {
-				p.advance()
-			}
+	err := p.parseParamList(func() error {
+		e, err := p.parseParam(nil)
+		if err != nil {
+			return err
 		}
-		p.advance() // )
+		v, err := e.eval(nil)
+		if err != nil {
+			return p.errorf(name, "%v", err)
+		}
+		vals = append(vals, v)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	var operands []operand
 	for {
@@ -868,8 +857,21 @@ func (f funcCall) eval(env map[string]float64) (float64, error) {
 	}
 }
 
-// parseExpr parses an additive expression. formals, when non-nil, names
-// the identifiers allowed as parameter references.
+// parseParam parses one parameter expression of at most maxExprTokens
+// tokens. formals, when non-nil, names the identifiers allowed as
+// parameter references.
+func (p *parser) parseParam(formals map[string]bool) (expr, error) {
+	p.exprTokens = 0
+	e, err := p.parseExpr(formals)
+	// parseUnary stops the descent at the bound; closing parentheses
+	// taken after the last operand are caught here.
+	if err == nil && p.exprTokens > maxExprTokens {
+		err = p.errorf(p.peek(), "parameter expression longer than %d tokens", maxExprTokens)
+	}
+	return e, err
+}
+
+// parseExpr parses an additive expression.
 func (p *parser) parseExpr(formals map[string]bool) (expr, error) {
 	left, err := p.parseTerm(formals)
 	if err != nil {
@@ -920,6 +922,10 @@ func (p *parser) parseFactor(formals map[string]bool) (expr, error) {
 }
 
 func (p *parser) parseUnary(formals map[string]bool) (expr, error) {
+	// Every step of the descent passes here and then takes a token.
+	if p.exprTokens >= maxExprTokens {
+		return nil, p.errorf(p.peek(), "parameter expression longer than %d tokens", maxExprTokens)
+	}
 	if p.atSymbol("-") {
 		p.advance()
 		x, err := p.parseUnary(formals)
@@ -935,8 +941,8 @@ func (p *parser) parsePrimary(formals map[string]bool) (expr, error) {
 	t := p.advance()
 	switch t.kind {
 	case tokNumber:
-		var v float64
-		if _, err := fmt.Sscanf(t.text, "%g", &v); err != nil {
+		v, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
 			return nil, p.errorf(t, "malformed number %q", t.text)
 		}
 		return numLit(v), nil

@@ -3,11 +3,13 @@ package qasm
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"velociti/internal/apps"
 	"velociti/internal/circuit"
+	"velociti/internal/verr"
 	"velociti/internal/workload"
 )
 
@@ -139,6 +141,70 @@ func TestExpressionErrors(t *testing.T) {
 	parseErr(t, "division by zero", `qreg q[1]; rz(1/0) q[0];`)
 	parseErr(t, "unknown identifier", `qreg q[1]; rz(theta) q[0];`)
 	parseErr(t, "ln negative", `qreg q[1]; rz(ln(-1)) q[0];`)
+}
+
+// TestParamListCommas: OpenQASM 2.0 parameter lists are
+// "expr (, expr)*", so a missing or trailing comma is rejected in gate
+// applications, gate-definition formals and definition bodies, while an
+// empty list, one item and three items parse.
+func TestParamListCommas(t *testing.T) {
+	for _, src := range []string{
+		`qreg q[1]; u3(1 2 3) q[0];`,
+		`qreg q[1]; u3(1,2,3,) q[0];`,
+		`gate g(a b) x { rx(a) x; } qreg q[1];`,
+		`gate g(a,) x { rx(a) x; } qreg q[1];`,
+		`gate g(a) x { u3(a a a) x; } qreg q[1];`,
+		`gate g(a) x { u3(a,a,a,) x; } qreg q[1];`,
+	} {
+		parseErr(t, "comma", src)
+	}
+	for _, src := range []string{
+		`gate g() x { h x; } qreg q[1]; g() q[0];`,
+		`gate g(a) x { rx(a) x; } qreg q[1]; g(0.5) q[0];`,
+		`gate g(a,b,c) x { u3(a,b,c) x; } qreg q[1]; g(1, 2, 3) q[0];`,
+	} {
+		if got := parse(t, src).Circuit.NumGates(); got != 1 {
+			t.Errorf("%s: %d gates, want 1", src, got)
+		}
+	}
+}
+
+// TestExpressionBound: one parameter expression may span maxExprTokens
+// tokens. Each shape that recurses in the parser or the evaluator parses
+// to the right value at the largest size within the bound, and is
+// rejected, naming the line, one token past it.
+func TestExpressionBound(t *testing.T) {
+	rep := strings.Repeat
+	for _, tc := range []struct {
+		name      string
+		at, past  string // within the bound, and one token past it
+		atTokens  int
+		wantValue float64
+	}{
+		// (^k 1 )^k is 2k+1 tokens.
+		{"parentheses", rep("(", 511) + "1" + rep(")", 511), rep("(", 512) + "1" + rep(")", 512), 1023, 1},
+		// -^k 1 is k+1 tokens.
+		{"unary minus", rep("-", 1023) + "1", rep("-", 1024) + "1", 1024, -1},
+		// 2 (^1)^n is 2n+1 tokens.
+		{"power chain", "2" + rep("^1", 511), "2" + rep("^1", 512), 1023, 2},
+		// 1 (+1)^n is 2n+1 tokens.
+		{"sum chain", "1" + rep("+1", 511), "1" + rep("+1", 512), 1023, 512},
+	} {
+		if n := len(lexTexts(t, tc.at)); n != tc.atTokens || n > maxExprTokens {
+			t.Fatalf("%s: at-bound expression has %d tokens, want %d", tc.name, n, tc.atTokens)
+		}
+		if n := len(lexTexts(t, tc.past)); n != maxExprTokens+1 {
+			t.Fatalf("%s: past-bound expression has %d tokens, want %d", tc.name, n, maxExprTokens+1)
+		}
+		res := parse(t, "OPENQASM 2.0;\nqreg q[1];\nrx("+tc.at+") q[0];\n")
+		if got := res.Circuit.Gate(0).Params[0]; got != tc.wantValue {
+			t.Errorf("%s: value %v, want %v", tc.name, got, tc.wantValue)
+		}
+		_, err := Parse("test", "OPENQASM 2.0;\nqreg q[1];\nrx("+tc.past+") q[0];\n")
+		if err == nil || !verr.IsInput(err) || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: past-bound err = %v, want an input-kind error naming line 3", tc.name, err)
+		}
+	}
 }
 
 func TestQelibCompositeGates(t *testing.T) {
@@ -357,25 +423,33 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLexerTokens(t *testing.T) {
-	toks, err := tokenize(`rz(-1.5e-3) q[0]; // c`)
+// lexTexts drains the lexer over src and returns the token texts.
+func lexTexts(t *testing.T, src string) []string {
+	t.Helper()
+	toks, err := newLexer(strings.NewReader(src)).drain()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("lex %q: %v", src, err)
 	}
-	var texts []string
-	for _, tk := range toks {
-		if tk.kind == tokEOF {
-			break
-		}
-		texts = append(texts, tk.text)
+	texts := make([]string, len(toks))
+	for i, tk := range toks {
+		texts[i] = tk.text
 	}
-	want := []string{"rz", "(", "-", "1.5e-3", ")", "q", "[", "0", "]", ";"}
-	if len(texts) != len(want) {
-		t.Fatalf("tokens = %v", texts)
-	}
-	for i := range want {
-		if texts[i] != want[i] {
-			t.Fatalf("token %d = %q, want %q", i, texts[i], want[i])
+	return texts
+}
+
+func TestLexerTokens(t *testing.T) {
+	for src, want := range map[string][]string{
+		`rz(-1.5e-3) q[0]; // c`: {"rz", "(", "-", "1.5e-3", ")", "q", "[", "0", "]", ";"},
+		// An exponent belongs to the number only when a digit follows
+		// e[+-]?; otherwise the e and the sign lex on their own.
+		"1e":    {"1", "e"},
+		"1e+":   {"1", "e", "+"},
+		"1.e5":  {"1.e5"},
+		".5E-3": {".5E-3"},
+		"1e5.3": {"1e5", ".3"},
+	} {
+		if got := lexTexts(t, src); !reflect.DeepEqual(got, want) {
+			t.Errorf("lex %q = %q, want %q", src, got, want)
 		}
 	}
 }

@@ -1,64 +1,24 @@
 package qasm
 
-// This file is the streaming front half of the parser: a token source
-// abstraction over either a fully lexed slice (the classic Parse path) or
-// an incremental lexer pulling bytes off an io.Reader (ParseReader), so
-// million-gate QASM files are parsed without slurping the source — peak
-// memory for the text side is O(longest token), not O(file).
-//
-// Equivalence contract with Parse (pinned by FuzzParseStream): the two
-// paths accept exactly the same inputs, and on success produce identical
-// Results. Diagnostics can differ in one way only — Parse lexes the whole
-// file up front, so a lexical error anywhere pre-empts an earlier parse
-// error, while the streaming path reports whichever comes first in
-// program order. Both are input-kind (verr.ErrInput) rejections.
+// This file is the parser's input side: ParseReader and the token
+// stream it reads. Parse is ParseReader over a string, and the qelib1
+// prelude and include bodies go through the same lexer, so every path
+// reports errors in program order.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
 	"velociti/internal/verr"
 )
 
-// tokenSource is the parser's view of its input: one token of lookahead
+// streamSource is the parser's view of its input: one token of lookahead
 // plus include splicing. EOF is sticky — peek and advance return tokEOF
-// forever once the input is exhausted.
-type tokenSource interface {
-	peek() token
-	advance() token
-	// splice inserts tokens (an include's body, already lexed) ahead of
-	// the current position.
-	splice(body []token)
-}
-
-// sliceSource replays a fully lexed token slice; it is the engine of the
-// classic slurping Parse path and of prelude/include bodies.
-type sliceSource struct {
-	toks []token
-	pos  int
-}
-
-func (s *sliceSource) peek() token { return s.toks[s.pos] }
-
-func (s *sliceSource) advance() token {
-	t := s.toks[s.pos]
-	if t.kind != tokEOF {
-		s.pos++
-	}
-	return t
-}
-
-func (s *sliceSource) splice(body []token) {
-	rest := append([]token(nil), s.toks[s.pos:]...)
-	s.toks = append(append(s.toks[:s.pos:s.pos], body...), rest...)
-}
-
-// streamSource lexes incrementally. A lexical error is recorded once and
-// surfaces as a synthesized EOF so the parser winds down normally; the
-// caller (ParseReader) reports the recorded error as the root cause.
+// forever once the input is exhausted. A lexical error is recorded once
+// and surfaces as a synthesized EOF so the parser winds down normally;
+// the caller reports the recorded error as the root cause.
 type streamSource struct {
-	lx      *streamLexer
+	lx      *lexer
 	pending []token // spliced include tokens, drained before lexing resumes
 	cur     token
 	haveCur bool
@@ -95,15 +55,16 @@ func (s *streamSource) advance() token {
 	return s.cur
 }
 
+// splice inserts body (an include's tokens, already lexed) ahead of the
+// current position.
 func (s *streamSource) splice(body []token) {
-	head := append([]token(nil), body...)
 	if s.haveCur && s.cur.kind != tokEOF {
-		head = append(head, s.cur)
+		body = append(body, s.cur)
 	}
 	// A held EOF is dropped: it is re-fetched from the lexer (sticky)
 	// once the spliced body drains.
 	s.haveCur = false
-	s.pending = append(head, s.pending...)
+	s.pending = append(body, s.pending...)
 }
 
 // ParseReader parses OpenQASM 2.0 from r into a Result, lexing
@@ -114,11 +75,16 @@ func ParseReader(name string, r io.Reader) (*Result, error) {
 	return ParseReaderWithIncludes(name, r, nil)
 }
 
-// ParseReaderWithIncludes is ParseReader with an include resolver, the
-// streaming counterpart of ParseWithIncludes. Read failures from r are
-// reported like lexical errors, positioned at the line being lexed.
+// ParseReaderWithIncludes is ParseReader resolving include directives
+// other than qelib1.inc through the given loader, which maps an include
+// name to source text; a nil loader rejects such includes. Read failures
+// from r are reported like lexical errors, positioned at the line being
+// lexed.
+//
+// All parse failures are input-kind errors (verr.ErrInput): QASM source is
+// untrusted input, so every rejection is a diagnostic, never a panic.
 func ParseReaderWithIncludes(name string, r io.Reader, resolve func(string) (string, error)) (*Result, error) {
-	src := &streamSource{lx: newStreamLexer(r)}
+	src := &streamSource{lx: newLexer(r)}
 	p := &parser{
 		ts:      src,
 		name:    name,
@@ -128,6 +94,8 @@ func ParseReaderWithIncludes(name string, r io.Reader, resolve func(string) (str
 		resolve: resolve,
 	}
 	if err := p.loadPrelude(); err != nil {
+		// The prelude is compiled in; failing to parse it is a bug, not
+		// bad input, so it stays unmarked.
 		return nil, fmt.Errorf("qasm: internal prelude: %w", err)
 	}
 	err := p.parseProgram()
@@ -140,181 +108,4 @@ func ParseReaderWithIncludes(name string, r io.Reader, resolve func(string) (str
 		return nil, verr.Mark(err)
 	}
 	return p.finish()
-}
-
-// streamLexer mirrors lexer.next token for token, but pulls bytes from an
-// io.Reader on demand. Lookahead (two bytes, for comment detection) and
-// backtracking (two bytes, for a dangling exponent suffix) go through a
-// small pushback buffer, so the reader is consumed strictly forward.
-type streamLexer struct {
-	r    *bufio.Reader
-	buf  []byte // unconsumed lookahead/pushback, buf[0] is next
-	eof  bool
-	rerr error // sticky non-EOF read error
-	line int
-}
-
-func newStreamLexer(r io.Reader) *streamLexer {
-	return &streamLexer{r: bufio.NewReader(r), line: 1}
-}
-
-func (l *streamLexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
-}
-
-// fill tops the lookahead buffer up to n bytes, stopping at EOF or on a
-// read error.
-func (l *streamLexer) fill(n int) {
-	for len(l.buf) < n && !l.eof && l.rerr == nil {
-		b, err := l.r.ReadByte()
-		if err != nil {
-			if err != io.EOF {
-				l.rerr = err
-			}
-			l.eof = true
-			return
-		}
-		l.buf = append(l.buf, b)
-	}
-}
-
-// atEOF reports whether no byte is available.
-func (l *streamLexer) atEOF() bool {
-	l.fill(1)
-	return len(l.buf) == 0
-}
-
-// peekAt returns lookahead byte i, or 0 past the end of input — matching
-// the string lexer's zero-value peek, which no token class treats as
-// significant.
-func (l *streamLexer) peekAt(i int) byte {
-	l.fill(i + 1)
-	if i < len(l.buf) {
-		return l.buf[i]
-	}
-	return 0
-}
-
-func (l *streamLexer) peekByte() byte { return l.peekAt(0) }
-
-func (l *streamLexer) advance() byte {
-	b := l.buf[0]
-	l.buf = l.buf[1:]
-	if b == '\n' {
-		l.line++
-	}
-	return b
-}
-
-// unread pushes bytes back in front of the remaining input. Callers never
-// push '\n', so the line counter stays consistent.
-func (l *streamLexer) unread(bs ...byte) {
-	l.buf = append(append([]byte(nil), bs...), l.buf...)
-}
-
-func (l *streamLexer) skipSpaceAndComments() {
-	for !l.atEOF() {
-		b := l.peekByte()
-		switch {
-		case b == ' ' || b == '\t' || b == '\r' || b == '\n':
-			l.advance()
-		case b == '/' && l.peekAt(1) == '/':
-			for !l.atEOF() && l.peekByte() != '\n' {
-				l.advance()
-			}
-		default:
-			return
-		}
-	}
-}
-
-// next returns the next token; it is byte-for-byte equivalent to
-// lexer.next on the same input.
-func (l *streamLexer) next() (token, error) {
-	l.skipSpaceAndComments()
-	if l.rerr != nil {
-		return token{}, l.errorf("read: %v", l.rerr)
-	}
-	if l.atEOF() {
-		return token{kind: tokEOF, line: l.line}, nil
-	}
-	line := l.line
-	b := l.peekByte()
-	switch {
-	case isIdentStart(b):
-		var text []byte
-		for isIdentPart(l.peekByte()) {
-			text = append(text, l.advance())
-		}
-		return token{kind: tokIdent, text: string(text), line: line}, nil
-	case (b >= '0' && b <= '9') || b == '.':
-		var text []byte
-		seenDot := false
-		for {
-			c := l.peekByte()
-			if c >= '0' && c <= '9' {
-				text = append(text, l.advance())
-				continue
-			}
-			if c == '.' && !seenDot {
-				seenDot = true
-				text = append(text, l.advance())
-				continue
-			}
-			if c == 'e' || c == 'E' {
-				// Exponent: e[+-]?digits, else push the suffix back.
-				taken := []byte{l.advance()}
-				if n := l.peekByte(); n == '+' || n == '-' {
-					taken = append(taken, l.advance())
-				}
-				if d := l.peekByte(); d < '0' || d > '9' {
-					l.unread(taken...)
-					break
-				}
-				text = append(text, taken...)
-				for c := l.peekByte(); c >= '0' && c <= '9'; c = l.peekByte() {
-					text = append(text, l.advance())
-				}
-			}
-			break
-		}
-		if string(text) == "." {
-			return token{}, l.errorf("stray '.'")
-		}
-		return token{kind: tokNumber, text: string(text), line: line}, nil
-	case b == '"':
-		l.advance()
-		var text []byte
-		for !l.atEOF() && l.peekByte() != '"' {
-			if l.peekByte() == '\n' {
-				return token{}, l.errorf("unterminated string")
-			}
-			text = append(text, l.advance())
-		}
-		if l.atEOF() {
-			return token{}, l.errorf("unterminated string")
-		}
-		l.advance() // closing quote
-		return token{kind: tokString, text: string(text), line: line}, nil
-	case b == '-':
-		l.advance()
-		if l.peekByte() == '>' {
-			l.advance()
-			return token{kind: tokSymbol, text: "->", line: line}, nil
-		}
-		return token{kind: tokSymbol, text: "-", line: line}, nil
-	case b == '=':
-		l.advance()
-		if l.peekByte() == '=' {
-			l.advance()
-			return token{kind: tokSymbol, text: "==", line: line}, nil
-		}
-		return token{}, l.errorf("unexpected '='")
-	case b == ';' || b == ',' || b == '(' || b == ')' || b == '{' || b == '}' ||
-		b == '[' || b == ']' || b == '+' || b == '*' || b == '/' || b == '^':
-		l.advance()
-		return token{kind: tokSymbol, text: string(b), line: line}, nil
-	default:
-		return token{}, l.errorf("unexpected character %q", string(b))
-	}
 }

@@ -1,6 +1,8 @@
 package qasm
 
 import (
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,11 +12,13 @@ import (
 	"velociti/internal/verr"
 )
 
-// FuzzParseStream pins the streaming reader to the slurping parser:
-// ParseReader and Parse must accept exactly the same inputs (both
-// rejecting with input-kind diagnostics), and on success produce
-// identical Results. The seeds are FuzzParse's, plus the CI corpus for
-// both targets is shared.
+// FuzzParseStream checks that the way bytes arrive does not matter:
+// ParseReader over the whole text, one byte per Read
+// (iotest.OneByteReader) and half of each Read (iotest.HalfReader) must
+// agree on acceptance, Result and error text, and reject only with
+// input-kind diagnostics. The lexer's lookahead peeks across bufio
+// refills, the one place it could depend on read boundaries. The seeds
+// are FuzzParse's plus exponent edge cases.
 func FuzzParseStream(f *testing.F) {
 	f.Add("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nh q[0];\ncx q[0], q[1];\n")
 	f.Add("OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nrz(pi/2) q[1];\nmeasure q -> c;\n")
@@ -26,36 +30,47 @@ func FuzzParseStream(f *testing.F) {
 	f.Add("")
 	f.Add("OPENQASM 2.0;\n\x00\xff")
 	f.Add("OPENQASM 2.0;\nqreg q[99999999999999999999];\n")
-	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(1e) q[0];\n")   // dangling exponent: lexer pushback
+	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(1e) q[0];\n")   // dangling exponent: peeked, not consumed
 	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(1e-4) q[0];\n") // real exponent
+	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(1.e5) q[0];\n")
+	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(.5E+3) q[0];\n")
+	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(1e+) q[0];\n") // sign without digits: the 1 stands alone
 
 	f.Fuzz(func(t *testing.T, src string) {
-		res, err := Parse("fuzz", src)
-		sres, serr := ParseReader("fuzz", strings.NewReader(src))
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("acceptance diverges: Parse err=%v, ParseReader err=%v", err, serr)
+		want, werr := ParseReader("fuzz", strings.NewReader(src))
+		if werr != nil && !verr.IsInput(werr) {
+			t.Fatalf("rejection is not an input-kind error: %v", werr)
 		}
-		if err != nil {
-			if !verr.IsInput(serr) {
-				t.Fatalf("streaming rejection is not an input-kind error: %v", serr)
+		for _, r := range []io.Reader{
+			iotest.OneByteReader(strings.NewReader(src)),
+			iotest.HalfReader(strings.NewReader(src)),
+		} {
+			got, err := ParseReader("fuzz", r)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("acceptance depends on read sizes: whole-text err=%v, chunked err=%v", werr, err)
 			}
-			return
+			if err != nil {
+				if err.Error() != werr.Error() {
+					t.Fatalf("error text depends on read sizes: whole-text %q, chunked %q", werr, err)
+				}
+				continue
+			}
+			checkSameResult(t, want, got)
 		}
-		checkSameResult(t, res, sres)
 	})
 }
 
 func checkSameResult(t *testing.T, want, got *Result) {
 	t.Helper()
 	if got.Circuit.Fingerprint() != want.Circuit.Fingerprint() {
-		t.Fatalf("streamed circuit fingerprint %016x != slurped %016x",
+		t.Fatalf("circuit fingerprint %016x, want %016x",
 			got.Circuit.Fingerprint(), want.Circuit.Fingerprint())
 	}
 	if !reflect.DeepEqual(got.Circuit.Gates(), want.Circuit.Gates()) {
-		t.Fatalf("streamed gates diverge from slurped gates")
+		t.Fatalf("gates diverge")
 	}
 	if got.Measurements != want.Measurements || got.Barriers != want.Barriers || got.Resets != want.Resets {
-		t.Fatalf("streamed side counts (%d, %d, %d) != slurped (%d, %d, %d)",
+		t.Fatalf("side counts (%d, %d, %d), want (%d, %d, %d)",
 			got.Measurements, got.Barriers, got.Resets,
 			want.Measurements, want.Barriers, want.Resets)
 	}
@@ -100,9 +115,9 @@ func TestParseReaderIncludes(t *testing.T) {
 		return "", verr.Inputf("no such include %q", name)
 	}
 	src := "OPENQASM 2.0;\ninclude \"lib.inc\";\nqreg q[2];\nbar q[0], q[1];\n"
-	want, err := ParseWithIncludes("t", src, resolve)
+	want, err := ParseReaderWithIncludes("t", strings.NewReader(src), resolve)
 	if err != nil {
-		t.Fatalf("ParseWithIncludes: %v", err)
+		t.Fatalf("ParseReaderWithIncludes: %v", err)
 	}
 	got, err := ParseReaderWithIncludes("t", iotest.OneByteReader(strings.NewReader(src)), resolve)
 	if err != nil {
@@ -119,15 +134,15 @@ func TestParseReaderIncludes(t *testing.T) {
 	}
 }
 
-// TestParseReaderLexErrorAfterParseError: a lexical error behind the
-// parser's failure point must still reject (the slurping path sees it
-// first; the streaming path reports the parse error — either way the
-// input is refused with an input-kind diagnostic).
+// TestParseReaderLexError: errors are reported in program order, so a
+// lexical error behind the parser's failure point does not pre-empt it,
+// and a lexical error after valid statements still rejects. Parse and
+// ParseReader give the same input-kind diagnostic.
 func TestParseReaderLexError(t *testing.T) {
-	for _, src := range []string{
-		"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n\x01",   // lex error at end
-		"OPENQASM 2.0;\nqreg q[1];\nbogus q[0];\n =", // parse error, then lex error
-		"OPENQASM 2.0;\nqreg q[1];\nh q[0]",          // EOF mid-statement
+	for src, want := range map[string]string{
+		"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n\x01":   `line 4: unexpected character "\x01"`,
+		"OPENQASM 2.0;\nqreg q[1];\nbogus q[0];\n =": `line 3: unknown gate "bogus"`,
+		"OPENQASM 2.0;\nqreg q[1];\nh q[0]":          `line 3: expected ";", found end of input`,
 	} {
 		_, err := Parse("t", src)
 		_, serr := ParseReader("t", strings.NewReader(src))
@@ -135,7 +150,25 @@ func TestParseReaderLexError(t *testing.T) {
 			t.Fatalf("%q: Parse err=%v, ParseReader err=%v; want both non-nil", src, err, serr)
 		}
 		if !verr.IsInput(serr) {
-			t.Fatalf("%q: streaming rejection is not input-kind: %v", src, serr)
+			t.Fatalf("%q: rejection is not input-kind: %v", src, serr)
+		}
+		if err.Error() != serr.Error() || !strings.Contains(serr.Error(), want) {
+			t.Fatalf("%q: Parse err=%q, ParseReader err=%q; want both to contain %q", src, err, serr, want)
+		}
+	}
+}
+
+// TestParseReaderReadError: a read failure is reported like a lexical
+// error, at the line being lexed, and is input-kind.
+func TestParseReaderReadError(t *testing.T) {
+	r := io.MultiReader(strings.NewReader("OPENQASM 2.0;\nqreg q[1];\nh"), iotest.ErrReader(errors.New("device gone")))
+	_, err := ParseReaderWithIncludes("t", r, nil)
+	if err == nil || !verr.IsInput(err) {
+		t.Fatalf("err = %v, want an input-kind error", err)
+	}
+	for _, want := range []string{"line 3", "read:"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to mention %q", err, want)
 		}
 	}
 }

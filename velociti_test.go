@@ -2,6 +2,7 @@ package velociti
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,19 @@ func TestFacadeQASMRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(text, "OPENQASM 2.0") {
 		t.Fatalf("serialization malformed:\n%s", text)
+	}
+}
+
+// TestFacadeQASMInputError: a parameter expression nested far past the
+// parser's bound is rejected as invalid input, not a stack overflow.
+func TestFacadeQASMInputError(t *testing.T) {
+	depth := 100000
+	src := "OPENQASM 2.0;\nqreg q[1];\nrx(" + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + ") q[0];\n"
+	if _, err := ParseQASM("deep", src); !IsInputError(err) {
+		t.Fatalf("ParseQASM err = %v, want an input error", err)
+	}
+	if IsInputError(errors.New("internal")) {
+		t.Fatal("an unmarked error counts as an input error")
 	}
 }
 
