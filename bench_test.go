@@ -175,11 +175,10 @@ func BenchmarkAblationTopology(b *testing.B) {
 
 // ---- Component micro-benchmarks ----
 
-// BenchmarkParallelModelQFT measures one parallel-model evaluation of the
-// largest Table II workload (QFT: 4032 2-qubit gates) on the kernelized
-// hot path: the flat-array evaluator is built once (as core.Run does per
-// circuit) and each op binds it to the layout and folds the makespan.
-func BenchmarkParallelModelQFT(b *testing.B) {
+// parallelModelQFT is the parallel-model benchmarks' trial: the largest
+// Table II workload (QFT: 4032 2-qubit gates), spec-synthesized on a
+// random layout of a 16-ion ring.
+func parallelModelQFT(b *testing.B) (*circuit.Circuit, *ti.Layout) {
 	spec := apps.PaperSpecs()[3]
 	d, err := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
 	if err != nil {
@@ -194,12 +193,60 @@ func BenchmarkParallelModelQFT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c, layout
+}
+
+// BenchmarkParallelModelQFT measures one parallel-model evaluation of the
+// largest Table II workload (QFT: 4032 2-qubit gates) on the kernelized
+// hot path: the flat-array evaluator is built once (as core.Run does per
+// circuit) and each op binds it to the layout and folds the makespan.
+func BenchmarkParallelModelQFT(b *testing.B) {
+	c, layout := parallelModelQFT(b)
 	lat := perf.DefaultLatencies()
 	ev := perf.NewEvaluator(c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bd, err := ev.Bind(layout)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bd.ParallelTime(lat) <= 0 {
+			b.Fatal("bad time")
+		}
+	}
+}
+
+// BenchmarkColdTrialTimeQFT measures one cold trial of the QFT workload:
+// a fresh evaluator, bound and priced with its critical path, as every
+// trial of a cold sweep does. Against BenchmarkColdTrialParallelTimeQFT,
+// the same trial without a path, it prices labelling the path's gates.
+func BenchmarkColdTrialTimeQFT(b *testing.B) {
+	c, layout := parallelModelQFT(b)
+	lat := perf.DefaultLatencies()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bd, err := perf.NewEvaluator(c).Bind(layout)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := bd.Time(lat)
+		if err != nil || len(res.CriticalPath) == 0 {
+			b.Fatal("bad result", err)
+		}
+	}
+}
+
+// BenchmarkColdTrialParallelTimeQFT is BenchmarkColdTrialTimeQFT's
+// trial priced for the makespan alone.
+func BenchmarkColdTrialParallelTimeQFT(b *testing.B) {
+	c, layout := parallelModelQFT(b)
+	lat := perf.DefaultLatencies()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bd, err := perf.NewEvaluator(c).Bind(layout)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -85,6 +86,17 @@ func TestMalformedInputExitStatus(t *testing.T) {
 	if err := os.WriteFile(deepQASM, []byte(deep), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Nested doubling definitions asking for 2^30 gates: rejected by the
+	// expansion budget before any gate is built.
+	doublingQASM := filepath.Join(dir, "doubling.qasm")
+	doubling := "OPENQASM 2.0;\nqreg q[1];\ngate g1 a { h a; h a; }\n"
+	for i := 2; i <= 30; i++ {
+		doubling += fmt.Sprintf("gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	doubling += "g30 q[0];\n"
+	if err := os.WriteFile(doublingQASM, []byte(doubling), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	badJSON := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(badJSON, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -104,6 +116,7 @@ func TestMalformedInputExitStatus(t *testing.T) {
 		{"malformed circuit json", []string{"-circuit", badJSON}, "config"},
 		{"qasm out-of-range qubit", []string{"-qasm", badQASM}, "qasm"},
 		{"qasm deep expression", []string{"-qasm", deepQASM}, "parameter expression longer than"},
+		{"qasm expansion budget", []string{"-qasm", doublingQASM}, `line 33: gate "g30" would expand the program past`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

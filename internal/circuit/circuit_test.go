@@ -179,18 +179,6 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-func TestQubitKeyCanonical(t *testing.T) {
-	c := New("t", 8)
-	c.CX(5, 3)
-	if key := c.Gate(0).QubitKey(); key != "q3q5" {
-		t.Fatalf("QubitKey = %q, want q3q5 (sorted)", key)
-	}
-	c.H(7)
-	if key := c.Gate(1).QubitKey(); key != "q7" {
-		t.Fatalf("QubitKey = %q", key)
-	}
-}
-
 func TestLabelsSSA(t *testing.T) {
 	// Figure 3 style: repeated gates on the same pair get instance suffixes.
 	c := New("t", 3)

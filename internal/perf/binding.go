@@ -141,7 +141,7 @@ func BindCircuitScratch(c *circuit.Circuit, l *ti.Layout) (*Binding, error) {
 	e.n = n
 	e.oneQGates, e.twoQGates = 0, 0
 	e.once = new(evalOnce)
-	e.labels = nil
+	e.labelText, e.labelEnds = "", nil
 	e.qa = growInt32(e.qa, n)
 	e.qb = growInt32(e.qb, n)
 	if cap(e.twoQ) < n {

@@ -54,8 +54,12 @@ type Evaluator struct {
 	// NumEdges) first asks for them; and the SSA labels. One heap object per build —
 	// build resets it by pointer swap, since copying a sync.Once would
 	// trip the copylocks vet.
-	once   *evalOnce
-	labels []string
+	once *evalOnce
+	// labelText/labelEnds memoize circuit.LabelText: gate i's label is
+	// labelText[labelEnds[i-1]:labelEnds[i]], so a critical path slices
+	// its labels out of one string instead of holding one per gate.
+	labelText string
+	labelEnds []int32
 }
 
 // evalOnce bundles the evaluator's lazy-stage guards into one allocation.
@@ -115,7 +119,7 @@ func (e *Evaluator) build(c *circuit.Circuit) *Evaluator {
 	e.n = n
 	e.oneQGates, e.twoQGates = 0, 0
 	e.once = new(evalOnce)
-	e.labels = nil
+	e.labelText, e.labelEnds = "", nil
 	e.qa = growInt32(e.qa, n)
 	e.qb = growInt32(e.qb, n)
 	if cap(e.twoQ) < n {
@@ -286,8 +290,26 @@ func (e *Evaluator) GateGraph(l *ti.Layout, lat Latencies) dag.CSR {
 	return dag.CSR{Heads: e.heads, Targets: e.targets, Weights: weights}
 }
 
-// Labels returns the circuit's SSA gate labels, computed once and cached.
+// Labels returns the circuit's SSA gate labels, sliced from the memo.
 func (e *Evaluator) Labels() []string {
-	e.once.labels.Do(func() { e.labels = e.c.Labels() })
-	return e.labels
+	e.ensureLabels()
+	labels := make([]string, e.n)
+	for i := range labels {
+		labels[i] = e.label(i)
+	}
+	return labels
+}
+
+// ensureLabels memoizes the circuit's label text on first use.
+func (e *Evaluator) ensureLabels() {
+	e.once.labels.Do(func() { e.labelText, e.labelEnds = e.c.LabelText() })
+}
+
+// label returns gate i's SSA label; ensureLabels must have run.
+func (e *Evaluator) label(i int) string {
+	start := int32(0)
+	if i > 0 {
+		start = e.labelEnds[i-1]
+	}
+	return e.labelText[start:e.labelEnds[i]]
 }

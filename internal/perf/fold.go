@@ -251,8 +251,9 @@ func (f *fold) runOne(g gateBatch) {
 
 // results assembles one Result per lane from the finished fold and the
 // gate counts of the folded circuit. With path bookkeeping, each lane's
-// critical path is rebuilt as labels of the gates on it.
-func (f *fold) results(lats []Latencies, oneQ, twoQ, weak, links int, labels []string) []Result {
+// critical path is rebuilt as labels of the gates on it, looked up by
+// gate id.
+func (f *fold) results(lats []Latencies, oneQ, twoQ, weak, links int, label func(int) string) []Result {
 	w := links
 	if w > twoQ {
 		w = twoQ
@@ -282,7 +283,7 @@ func (f *fold) results(lats []Latencies, oneQ, twoQ, weak, links int, labels []s
 		path := make([]string, depth)
 		for at := f.best[j]; at != -1; at = f.prev[int(at)*f.nl+j] {
 			depth--
-			path[depth] = labels[at]
+			path[depth] = label(int(at))
 		}
 		out[j].CriticalPath = path
 	}
@@ -309,7 +310,8 @@ func (b *Binding) price(lats []Latencies, costs *TransportCosts) []Result {
 	}
 	f := newFold(lats, e.c.NumQubits(), costs, numSegs, e.n)
 	f.run(b.batch())
-	res := f.results(lats, e.oneQGates, e.twoQGates, b.weak, b.links, e.Labels())
+	e.ensureLabels()
+	res := f.results(lats, e.oneQGates, e.twoQGates, b.weak, b.links, e.label)
 	f.release()
 	return res
 }

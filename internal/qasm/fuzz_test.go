@@ -24,6 +24,10 @@ func FuzzParse(f *testing.F) {
 	f.Add("OPENQASM 2.0;\n\x00\xff")
 	f.Add("OPENQASM 2.0;\nqreg q[99999999999999999999];\n")
 	f.Add("OPENQASM 2.0;\nqreg q[1];\nrx(" + strings.Repeat("-", maxExprTokens) + "1) q[0];\n") // one token past the expression bound
+	// 2^30 gates through nested definitions, then through one broadcast:
+	// both past the expansion budget.
+	f.Add(doublingQASM(30))
+	f.Add("OPENQASM 2.0;\nqreg q[1073741824];\nh q;\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		res, err := Parse("fuzz", src)

@@ -72,6 +72,9 @@ type gateDef struct {
 	params []string
 	qargs  []string
 	body   []bodyStmt
+	// size is expansionSize of the definition, saturating past
+	// maxExpandedGates.
+	size int
 }
 
 // bodyStmt is one gate application inside a definition, with formal
@@ -86,6 +89,12 @@ type bodyStmt struct {
 // maxExpandDepth bounds gate-definition expansion to catch recursive
 // definitions (illegal in OpenQASM 2.0 anyway).
 const maxExpandDepth = 64
+
+// maxExpandedGates bounds the gates one program may expand to: four times
+// the largest circuit the repo builds (the 1,000,773-gate QFT). Nested
+// doubling definitions or a broadcast over a huge register would
+// otherwise ask for billions of gates from a few hundred bytes.
+const maxExpandedGates = 1 << 22
 
 // maxExprTokens bounds the tokens in one parameter expression. The
 // descent recurses, and eval walks the tree, at most once per token, so
@@ -104,7 +113,10 @@ type parser struct {
 	gates     map[string]*gateDef
 	opaque    map[string]bool
 
-	ops          []resolvedOp
+	ops []resolvedOp
+	// expanded counts the gates charged against maxExpandedGates: every
+	// resolved op, plus each application of an empty definition.
+	expanded     int
 	measurements int
 	barriers     int
 	resets       int
@@ -436,10 +448,45 @@ func (p *parser) parseGateDef() error {
 			return err
 		}
 		def.body = append(def.body, stmt)
+		def.size += p.expansionSize(stmt.name)
+		if def.size > maxExpandedGates {
+			def.size = maxExpandedGates + 1
+		}
 	}
 	p.advance() // }
+	if def.size == 0 {
+		def.size = 1
+	}
 	p.gates[def.name] = def
 	return nil
+}
+
+// expansionSize is how many gates one application of name expands to, as
+// far as the definitions so far tell. A built-in kind counts one, and so
+// does an empty definition, so that broadcasting one stays bounded too. So
+// does a name not defined yet: apply rejects it, or charges what it really
+// expands to as it goes.
+func (p *parser) expansionSize(name string) int {
+	if _, ok := builtinKind(name); ok {
+		return 1
+	}
+	if def, ok := p.gates[name]; ok {
+		return def.size
+	}
+	return 1
+}
+
+// charge counts one gate of the application at against maxExpandedGates.
+func (p *parser) charge(at token) error {
+	if p.expanded >= maxExpandedGates {
+		return p.errorBudget(at)
+	}
+	p.expanded++
+	return nil
+}
+
+func (p *parser) errorBudget(at token) error {
+	return p.errorf(at, "gate %q would expand the program past %d gates", at.text, maxExpandedGates)
 }
 
 // parseBodyStmt parses one gate application inside a definition.
@@ -559,6 +606,11 @@ func (p *parser) parseGateApplication() error {
 			}
 		}
 	}
+	// Check the whole expansion against the budget before building any
+	// of it.
+	if bcast > (maxExpandedGates-p.expanded)/p.expansionSize(name.text) {
+		return p.errorBudget(name)
+	}
 	for i := 0; i < bcast; i++ {
 		qubits := make([]int, len(operands))
 		for j, op := range operands {
@@ -609,6 +661,9 @@ func (p *parser) apply(at token, name string, vals []float64, qubits []int, dept
 		if err := distinctQubits(qubits); err != nil {
 			return p.errorf(at, "gate %q: %v", name, err)
 		}
+		if err := p.charge(at); err != nil {
+			return err
+		}
 		p.ops = append(p.ops, resolvedOp{kind: kind, qubits: qubits, params: vals})
 		return nil
 	}
@@ -621,6 +676,9 @@ func (p *parser) apply(at token, name string, vals []float64, qubits []int, dept
 		}
 		if err := distinctQubits(qubits); err != nil {
 			return p.errorf(at, "gate %q: %v", name, err)
+		}
+		if len(def.body) == 0 {
+			return p.charge(at)
 		}
 		env := make(map[string]float64, len(def.params))
 		for i, formal := range def.params {

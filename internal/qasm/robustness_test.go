@@ -1,9 +1,12 @@
 package qasm
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"velociti/internal/verr"
 )
 
 // The parser must never panic: any input yields a circuit or an error.
@@ -112,4 +115,53 @@ func TestParserHugeRegisterRejectedGracefully(t *testing.T) {
 	// references bound-check against the declared size.
 	parseNeverPanics(t, "qreg q[999999999999999999999];")
 	parseNeverPanics(t, "qreg q[1000000]; x q[999999];")
+}
+
+// doublingQASM is a program of levels nested definitions, each applying
+// the one below twice, applied once: it expands to 2^levels gates.
+func doublingQASM(levels int) string {
+	var b strings.Builder
+	b.WriteString("OPENQASM 2.0;\nqreg q[1];\ngate g1 a { h a; h a; }\n")
+	for i := 2; i <= levels; i++ {
+		fmt.Fprintf(&b, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "g%d q[0];\n", levels)
+	return b.String()
+}
+
+// parseRejectedUnexpanded asserts src is rejected with the expansion-budget
+// error, on the given line, having allocated far less than any expansion
+// of the budget's size would.
+func parseRejectedUnexpanded(t *testing.T, src string, line int) {
+	t.Helper()
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { _, err = Parse("budget", src) })
+	if err == nil || !verr.IsInput(err) {
+		t.Fatalf("want an input error, got %v", err)
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, fmt.Sprintf("line %d: gate ", line)) || !strings.Contains(msg, fmt.Sprintf("past %d gates", maxExpandedGates)) {
+		t.Fatalf("error %q does not name line %d, the gate and the budget", msg, line)
+	}
+	if allocs > 10000 {
+		t.Fatalf("rejection allocated %.0f times: the program was expanded", allocs)
+	}
+}
+
+func TestParserExpansionBudget(t *testing.T) {
+	// 30 doubling levels ask for 2^30 gates from under a kilobyte.
+	parseRejectedUnexpanded(t, doublingQASM(30), 33)
+	// So does a broadcast over a register of 2^30 qubits.
+	parseRejectedUnexpanded(t, "OPENQASM 2.0;\nqreg q[1073741824];\nh q;\n", 3)
+	// An empty definition counts one gate, so broadcasting it is bounded.
+	parseRejectedUnexpanded(t, "OPENQASM 2.0;\ngate e a { }\nqreg q[1073741824];\ne q;\n", 4)
+
+	// 18 levels, 262,144 gates, stay well inside the budget.
+	res, err := Parse("doubling", doublingQASM(18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Circuit.NumGates(); n != 1<<18 {
+		t.Fatalf("18 doubling levels expanded to %d gates, want %d", n, 1<<18)
+	}
 }

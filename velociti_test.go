@@ -271,3 +271,50 @@ func fc(t testing.TB) func(*Circuit, error) *Circuit {
 		return c
 	}
 }
+
+func TestFacadeRefine(t *testing.T) {
+	// GHZ's CX ladder is a path graph: a random layout cuts it often, and
+	// local search walks the cut down towards one edge per chain boundary.
+	ig := fc(t)(GHZ(16)).InteractionGraph()
+	crossChain := func(l *Layout) int {
+		w := 0
+		for pair, n := range ig {
+			if !l.SameChain(pair[0], pair[1]) {
+				w += n
+			}
+		}
+		return w
+	}
+	d, err := DeviceFor(16, 4, Ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := RandomPlacement.Place(d, 16, NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseCost := crossChain(base)
+	refined, cost, converged, err := RefineLayout(base, ig, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !converged {
+		t.Fatalf("default pass budget did not converge on 16 qubits (cost %d)", cost)
+	}
+	if cost != crossChain(refined) || cost > baseCost || crossChain(base) != baseCost {
+		t.Fatalf("refined cross-chain weight %d (reported %d), base %d", crossChain(refined), cost, baseCost)
+	}
+	if cost == baseCost {
+		t.Fatalf("refinement left the random layout's cut of %d unimproved", baseCost)
+	}
+
+	// The policy is a base placement followed by the same refinement.
+	pol := RefinedPlacement(RandomPlacement, ig, 0)
+	l, err := pol.Place(d, 16, NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.Name() != "refined" || crossChain(l) != cost {
+		t.Fatalf("RefinedPlacement %q cut %d, want refined cut %d", pol.Name(), crossChain(l), cost)
+	}
+}
