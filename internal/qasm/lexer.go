@@ -24,7 +24,7 @@
 package qasm
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -72,20 +72,36 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer splits OpenQASM source into tokens, pulling bytes from an
-// io.Reader on demand, so the text side holds O(longest token) bytes, not
-// O(file). Lookahead (two bytes for a comment, three for an exponent) is
-// bufio.Reader.Peek, which consumes nothing, so the reader only moves
-// forward.
+// windowSize is the lexer's initial window. It grows only when one token
+// outgrows it.
+const windowSize = 4096
+
+// Interned token texts: a lexer shares one string per distinct identifier
+// or number of at most maxInternLen bytes, for its first maxInterned
+// distinct texts. Compiled circuits repeat their names and angles (QFT-64
+// has 6,048 angles but 126 distinct values), so most tokens cost no
+// allocation; past either bound a text is allocated per token.
+const (
+	maxInterned  = 4096
+	maxInternLen = 64
+)
+
+// lexer splits OpenQASM source into tokens, reading from an io.Reader into
+// a byte window, so the text side holds O(longest token) bytes, not
+// O(file). buf[pos:end] is read but not lexed yet; a refill keeps only
+// buf[start:end], the token being scanned, so lookahead (two bytes for a
+// comment, three for an exponent) never consumes input.
 type lexer struct {
-	r    *bufio.Reader
-	err  error // first read error, io.EOF included: the input ends there
-	line int
-	text []byte // scratch for the token being collected
+	r               io.Reader
+	buf             []byte
+	start, pos, end int
+	err             error // first read error, io.EOF included: reported once the window drains
+	line            int
+	interned        map[string]string
 }
 
 func newLexer(r io.Reader) *lexer {
-	return &lexer{r: bufio.NewReader(r), line: 1}
+	return &lexer{r: r, buf: make([]byte, windowSize), line: 1, interned: make(map[string]string)}
 }
 
 // errorf builds a positioned lexical error.
@@ -93,62 +109,89 @@ func (l *lexer) errorf(format string, args ...any) error {
 	return fmt.Errorf("qasm: line %d: %s", l.line, fmt.Sprintf(format, args...))
 }
 
-// peek returns up to n bytes of lookahead, fewer at the end of input.
-// Once a read has failed, only bytes already buffered are returned.
-func (l *lexer) peek(n int) []byte {
+// fill reads more input into the window, keeping buf[start:end]: those
+// bytes move to the front, and the window doubles only when they fill it.
+// It reports whether any byte was added. The first read error, io.EOF
+// included, is kept in err and ends the reading; bytes that arrived with
+// it are lexed first.
+func (l *lexer) fill() bool {
 	if l.err != nil {
-		n = min(n, l.r.Buffered())
+		return false
 	}
-	b, err := l.r.Peek(n)
-	if err != nil {
-		l.err = err
+	if l.start > 0 {
+		l.end = copy(l.buf, l.buf[l.start:l.end])
+		l.pos -= l.start
+		l.start = 0
 	}
-	return b
+	if l.end == len(l.buf) {
+		l.buf = append(l.buf, make([]byte, len(l.buf))...)
+	}
+	// Like bufio, give up on a reader that keeps returning nothing.
+	for range 100 {
+		n, err := l.r.Read(l.buf[l.end:])
+		l.end += n
+		if err != nil {
+			l.err = err
+		}
+		if n > 0 || err != nil {
+			return n > 0
+		}
+	}
+	l.err = io.ErrNoProgress
+	return false
 }
 
-// peekByte returns the next byte, or 0 at the end of input, which no
-// token class treats as significant.
-func (l *lexer) peekByte() byte {
-	if b := l.peek(1); len(b) == 1 {
-		return b[0]
+// more reports whether a byte is left to lex, reading if the window is
+// drained.
+func (l *lexer) more() bool { return l.pos < l.end || l.fill() }
+
+// at returns the byte i places past pos, or 0 past the end of input, which
+// no token class treats as significant.
+func (l *lexer) at(i int) byte {
+	for l.pos+i >= l.end {
+		if !l.fill() {
+			return 0
+		}
 	}
-	return 0
+	return l.buf[l.pos+i]
 }
 
-// advance consumes the next byte, counting lines. Callers peek first, so
-// the read cannot fail; if it does, the input ends there all the same.
-func (l *lexer) advance() byte {
-	b, err := l.r.ReadByte()
-	if err != nil {
-		l.err = err
-	}
-	if b == '\n' {
-		l.line++
-	}
-	return b
-}
-
-// collect consumes the next byte into the token text.
-func (l *lexer) collect() { l.text = append(l.text, l.advance()) }
-
-func (l *lexer) collectDigits() {
-	for isDigit(l.peekByte()) {
-		l.collect()
+// skip advances past a run of bytes for which in reports true.
+func (l *lexer) skip(in *[256]bool) {
+	for {
+		for l.pos < l.end && in[l.buf[l.pos]] {
+			l.pos++
+		}
+		if l.pos < l.end || !l.fill() {
+			return
+		}
 	}
 }
 
-// skipSpaceAndComments consumes whitespace and // line comments.
+// skipSpaceAndComments consumes whitespace and // line comments. Nothing
+// skipped is kept across a refill.
 func (l *lexer) skipSpaceAndComments() {
 	for {
-		b := l.peek(1)
-		switch {
-		case len(b) == 0:
+		l.start = l.pos
+		if !l.more() {
 			return
-		case b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n':
-			l.advance()
-		case b[0] == '/' && string(l.peek(2)) == "//":
-			for b := l.peek(1); len(b) == 1 && b[0] != '\n'; b = l.peek(1) {
-				l.advance()
+		}
+		switch b := l.buf[l.pos]; {
+		case b == '\n':
+			l.line++
+			l.pos++
+		case b == ' ' || b == '\t' || b == '\r':
+			l.pos++
+		case b == '/' && l.at(1) == '/':
+			for {
+				if i := bytes.IndexByte(l.buf[l.pos:l.end], '\n'); i >= 0 {
+					l.pos += i
+					break
+				}
+				l.pos, l.start = l.end, l.end
+				if !l.fill() {
+					return
+				}
 			}
 		default:
 			return
@@ -156,77 +199,94 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// text returns the scanned token buf[start:pos] as a string, interned
+// while the table has room.
+func (l *lexer) text() string {
+	b := l.buf[l.start:l.pos]
+	if len(b) == 1 {
+		return bytesText[b[0] : b[0]+1]
+	}
+	if s, ok := l.interned[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) <= maxInternLen && len(l.interned) < maxInterned {
+		l.interned[s] = s
+	}
+	return s
+}
+
 // next returns the next token. A read failure is reported like a
-// lexical error, at the line being lexed.
+// lexical error, at the line being lexed, once the bytes read before it
+// are lexed.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
-	if l.err != nil && l.err != io.EOF {
-		return token{}, l.errorf("read: %v", l.err)
-	}
-	if len(l.peek(1)) == 0 {
+	if l.pos == l.end {
+		if l.err != io.EOF {
+			return token{}, l.errorf("read: %v", l.err)
+		}
 		return token{kind: tokEOF, line: l.line}, nil
 	}
 	line := l.line
-	l.text = l.text[:0]
-	b := l.peekByte()
+	b := l.buf[l.pos]
+	l.pos++
 	switch {
 	case isIdentStart(b):
-		for isIdentPart(l.peekByte()) {
-			l.collect()
-		}
-		return token{kind: tokIdent, text: string(l.text), line: line}, nil
+		l.skip(&identPart)
+		return token{kind: tokIdent, text: l.text(), line: line}, nil
 	case isDigit(b) || b == '.':
 		// digits [. digits] [e[+-]digits]; the exponent is taken only
 		// when a digit follows, so nothing is consumed otherwise.
-		l.collectDigits()
-		if l.peekByte() == '.' {
-			l.collect()
-			l.collectDigits()
-		}
-		if c := l.peekByte(); c == 'e' || c == 'E' {
-			n := 2
-			if s := l.peek(2); len(s) == 2 && (s[1] == '+' || s[1] == '-') {
-				n = 3
-			}
-			if s := l.peek(n); len(s) == n && isDigit(s[n-1]) {
-				for ; n > 0; n-- {
-					l.collect()
-				}
-				l.collectDigits()
+		if b != '.' {
+			l.skip(&digit)
+			if l.at(0) == '.' {
+				l.pos++
 			}
 		}
-		if string(l.text) == "." {
+		l.skip(&digit)
+		if c := l.at(0); c == 'e' || c == 'E' {
+			n := 1
+			if s := l.at(1); s == '+' || s == '-' {
+				n = 2
+			}
+			if isDigit(l.at(n)) {
+				l.pos += n
+				l.skip(&digit)
+			}
+		}
+		if l.pos-l.start == 1 && b == '.' {
 			return token{}, l.errorf("stray '.'")
 		}
-		return token{kind: tokNumber, text: string(l.text), line: line}, nil
+		return token{kind: tokNumber, text: l.text(), line: line}, nil
 	case b == '"':
-		l.advance()
-		for c := l.peek(1); string(c) != `"`; c = l.peek(1) {
-			if len(c) == 0 || c[0] == '\n' {
+		for {
+			if !l.more() || l.buf[l.pos] == '\n' {
 				return token{}, l.errorf("unterminated string")
 			}
-			l.collect()
+			if l.buf[l.pos] == '"' {
+				break
+			}
+			l.pos++
 		}
-		l.advance() // closing quote
-		return token{kind: tokString, text: string(l.text), line: line}, nil
+		text := string(l.buf[l.start+1 : l.pos])
+		l.pos++ // closing quote
+		return token{kind: tokString, text: text, line: line}, nil
 	case b == '-':
-		l.advance()
-		if l.peekByte() == '>' {
-			l.advance()
+		if l.at(0) == '>' {
+			l.pos++
 			return token{kind: tokSymbol, text: "->", line: line}, nil
 		}
 		return token{kind: tokSymbol, text: "-", line: line}, nil
 	case b == '=':
-		l.advance()
-		if l.peekByte() == '=' {
-			l.advance()
+		if l.at(0) == '=' {
+			l.pos++
 			return token{kind: tokSymbol, text: "==", line: line}, nil
 		}
 		return token{}, l.errorf("unexpected '='")
-	case strings.ContainsRune(";,(){}[]+*/^", rune(b)):
-		l.advance()
-		return token{kind: tokSymbol, text: string(b), line: line}, nil
 	default:
+		if symbol[b] {
+			return token{kind: tokSymbol, text: bytesText[b : b+1], line: line}, nil
+		}
 		return token{}, l.errorf("unexpected character %q", string(b))
 	}
 }
@@ -247,12 +307,30 @@ func (l *lexer) drain() ([]token, error) {
 	}
 }
 
-func isIdentStart(b byte) bool {
-	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
+// digit and identPart are the byte classes skip scans; symbol marks the
+// one-byte symbols.
+var digit, identPart, symbol [256]bool
+
+// bytesText holds every byte value in order, so a one-byte token's text is
+// a slice of it.
+var bytesText = func() string {
+	b := make([]byte, 256)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return string(b)
+}()
+
+func init() {
+	for c := 0; c < 256; c++ {
+		digit[c] = isDigit(byte(c))
+		identPart[c] = isIdentStart(byte(c)) || digit[c]
+		symbol[c] = strings.IndexByte(";,(){}[]+*/^", byte(c)) >= 0
+	}
 }
 
-func isIdentPart(b byte) bool {
-	return isIdentStart(b) || isDigit(b)
+func isIdentStart(b byte) bool {
+	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 }
 
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }

@@ -2,9 +2,12 @@ package qasm
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"velociti/internal/circuit"
 	"velociti/internal/verr"
@@ -39,8 +42,8 @@ func ParseCircuit(name, src string) (*circuit.Circuit, error) {
 }
 
 // qelibComposites defines, in OpenQASM itself, the qelib1.inc composite
-// gates that do not map 1:1 onto circuit kinds. They are parsed once per
-// Parse call and expand like user definitions.
+// gates that do not map 1:1 onto circuit kinds. They are compiled once per
+// process (see prelude) and expand like user definitions.
 const qelibComposites = `
 gate ccx a,b,c { h c; cx b,c; tdg c; cx a,c; t c; cx b,c; tdg c; cx a,c; t b; t c; h c; cx a,b; t a; tdg b; cx a,b; }
 gate cu1(lambda) a,b { u1(lambda/2) a; cx a,b; u1(-lambda/2) b; cx a,b; u1(lambda/2) b; }
@@ -59,14 +62,17 @@ type qreg struct {
 	offset, size int
 }
 
-// resolvedOp is a fully expanded primitive gate application.
+// resolvedOp is a fully expanded primitive gate application. Every
+// circuit kind takes at most two qubits and three parameters; the kind's
+// arity and parameter count say how many of each are set.
 type resolvedOp struct {
 	kind   circuit.Kind
-	qubits []int
-	params []float64
+	qubits [2]int
+	params [3]float64
 }
 
-// gateDef is a user (or built-in composite) gate definition.
+// gateDef is a user (or built-in composite) gate definition, compiled:
+// its body refers to formals by index.
 type gateDef struct {
 	name   string
 	params []string
@@ -77,13 +83,21 @@ type gateDef struct {
 	size int
 }
 
-// bodyStmt is one gate application inside a definition, with formal
-// arguments still unresolved.
+// bodyStmt is one gate application inside a definition. kind is the
+// built-in kind it names, or notBuiltin for a definition looked up when
+// applied; each expression is compiled over the formal parameters, and
+// args index the formal qubits.
 type bodyStmt struct {
 	name  string
-	exprs []expr
-	args  []string
-	line  int
+	kind  circuit.Kind
+	exprs [][]instr
+	args  []int
+}
+
+// frame holds the arguments of one application during expansion.
+type frame struct {
+	qubits []int
+	vals   []float64
 }
 
 // maxExpandDepth bounds gate-definition expansion to catch recursive
@@ -103,17 +117,25 @@ const maxExprTokens = 1024
 
 type parser struct {
 	ts         *streamSource
-	exprTokens int // tokens taken since the current parameter expression began
+	exprTokens int       // tokens taken since the current parameter expression began
+	code       []instr   // the parameter expression being compiled
+	stack      []float64 // eval's operands
+	// nums holds the values of the first maxInterned distinct numbers.
+	nums map[string]float64
 
 	name      string
 	regs      map[string]qreg
-	regOrder  []string
 	numQubits int
 	cregs     map[string]int
 	gates     map[string]*gateDef
 	opaque    map[string]bool
 
-	ops []resolvedOp
+	ops      []resolvedOp
+	operands []operand // a top-level application's operands
+	// frames[0] holds a top-level application's arguments, and frames[d]
+	// those of a body statement applied at expansion depth d, so expanding
+	// a definition allocates nothing.
+	frames [maxExpandDepth + 2]frame
 	// expanded counts the gates charged against maxExpandedGates: every
 	// resolved op, plus each application of an empty definition.
 	expanded     int
@@ -125,16 +147,30 @@ type parser struct {
 	included map[string]bool
 }
 
-// loadPrelude registers the qelib1 composite definitions.
-func (p *parser) loadPrelude() error {
-	src := &streamSource{lx: newLexer(strings.NewReader(qelibComposites))}
-	sub := &parser{ts: src, gates: p.gates, regs: map[string]qreg{}, cregs: map[string]int{}}
+// prelude returns the qelib1 composite definitions, compiled on first
+// use. Every parse starts from a copy of the map; a compiled definition is
+// never changed, so parses share them.
+var prelude = sync.OnceValues(func() (map[string]*gateDef, error) {
+	sub := newParser("", strings.NewReader(qelibComposites), map[string]*gateDef{})
 	for sub.peek().kind != tokEOF {
 		if err := sub.parseGateDef(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return src.err
+	return sub.gates, sub.ts.err
+})
+
+// newParser returns a parser of the program read from r, starting from
+// the given gate definitions.
+func newParser(name string, r io.Reader, gates map[string]*gateDef) *parser {
+	return &parser{
+		ts:    &streamSource{lx: newLexer(r)},
+		name:  name,
+		regs:  make(map[string]qreg),
+		cregs: make(map[string]int),
+		gates: gates,
+		nums:  make(map[string]float64),
+	}
 }
 
 func (p *parser) peek() token { return p.ts.peek() }
@@ -287,7 +323,6 @@ func (p *parser) parseQreg() error {
 		return p.errorf(name, "register %q must have positive size", name.text)
 	}
 	p.regs[name.text] = qreg{offset: p.numQubits, size: size}
-	p.regOrder = append(p.regOrder, name.text)
 	p.numQubits += size
 	return p.expectSymbol(";")
 }
@@ -419,14 +454,6 @@ func (p *parser) parseGateDef() error {
 	if err := p.expectSymbol("{"); err != nil {
 		return err
 	}
-	formalQ := make(map[string]bool, len(def.qargs))
-	for _, q := range def.qargs {
-		formalQ[q] = true
-	}
-	formalP := make(map[string]bool, len(def.params))
-	for _, q := range def.params {
-		formalP[q] = true
-	}
 	for !p.atSymbol("}") {
 		t := p.peek()
 		if t.kind == tokEOF {
@@ -443,12 +470,12 @@ func (p *parser) parseGateDef() error {
 			p.advance()
 			continue
 		}
-		stmt, err := p.parseBodyStmt(def, formalQ, formalP)
+		stmt, err := p.parseBodyStmt(def)
 		if err != nil {
 			return err
 		}
 		def.body = append(def.body, stmt)
-		def.size += p.expansionSize(stmt.name)
+		def.size += p.expansionSize(stmt.name, stmt.kind)
 		if def.size > maxExpandedGates {
 			def.size = maxExpandedGates + 1
 		}
@@ -466,8 +493,8 @@ func (p *parser) parseGateDef() error {
 // does an empty definition, so that broadcasting one stays bounded too. So
 // does a name not defined yet: apply rejects it, or charges what it really
 // expands to as it goes.
-func (p *parser) expansionSize(name string) int {
-	if _, ok := builtinKind(name); ok {
+func (p *parser) expansionSize(name string, kind circuit.Kind) int {
+	if kind != notBuiltin {
 		return 1
 	}
 	if def, ok := p.gates[name]; ok {
@@ -489,16 +516,17 @@ func (p *parser) errorBudget(at token) error {
 	return p.errorf(at, "gate %q would expand the program past %d gates", at.text, maxExpandedGates)
 }
 
-// parseBodyStmt parses one gate application inside a definition.
-func (p *parser) parseBodyStmt(def *gateDef, formalQ, formalP map[string]bool) (bodyStmt, error) {
+// parseBodyStmt parses and compiles one gate application inside a
+// definition.
+func (p *parser) parseBodyStmt(def *gateDef) (bodyStmt, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return bodyStmt{}, err
 	}
-	stmt := bodyStmt{name: name.text, line: name.line}
+	stmt := bodyStmt{name: name.text, kind: builtinKind(name.text)}
 	err = p.parseParamList(func() error {
-		e, err := p.parseParam(formalP)
-		stmt.exprs = append(stmt.exprs, e)
+		err := p.parseParam(def.params)
+		stmt.exprs = append(stmt.exprs, slices.Clone(p.code))
 		return err
 	})
 	if err != nil {
@@ -509,10 +537,11 @@ func (p *parser) parseBodyStmt(def *gateDef, formalQ, formalP map[string]bool) (
 		if err != nil {
 			return bodyStmt{}, err
 		}
-		if !formalQ[arg.text] {
+		i := formal(def.qargs, arg.text)
+		if i < 0 {
 			return bodyStmt{}, p.errorf(arg, "gate %q body references unknown qubit %q", def.name, arg.text)
 		}
-		stmt.args = append(stmt.args, arg.text)
+		stmt.args = append(stmt.args, i)
 		if !p.atSymbol(",") {
 			break
 		}
@@ -522,6 +551,18 @@ func (p *parser) parseBodyStmt(def *gateDef, formalQ, formalP map[string]bool) (
 		return bodyStmt{}, err
 	}
 	return stmt, nil
+}
+
+// formal returns the index of name among a definition's formals, or -1.
+// A name given twice binds to its last position, the argument a later
+// binding overwrote when formals were bound by name.
+func formal(formals []string, name string) int {
+	for i := len(formals) - 1; i >= 0; i-- {
+		if formals[i] == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // operand is a top-level qubit argument: a whole register or one element.
@@ -564,29 +605,29 @@ func (p *parser) parseGateApplication() error {
 	if p.opaque[name.text] {
 		return p.errorf(name, "cannot apply opaque gate %q (no definition)", name.text)
 	}
-	var vals []float64
+	top := &p.frames[0]
+	top.vals = top.vals[:0]
 	err := p.parseParamList(func() error {
-		e, err := p.parseParam(nil)
-		if err != nil {
+		if err := p.parseParam(nil); err != nil {
 			return err
 		}
-		v, err := e.eval(nil)
+		v, err := p.eval(p.code, nil)
 		if err != nil {
 			return p.errorf(name, "%v", err)
 		}
-		vals = append(vals, v)
+		top.vals = append(top.vals, v)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	var operands []operand
+	p.operands = p.operands[:0]
 	for {
 		op, err := p.parseOperand()
 		if err != nil {
 			return err
 		}
-		operands = append(operands, op)
+		p.operands = append(p.operands, op)
 		if !p.atSymbol(",") {
 			break
 		}
@@ -597,7 +638,7 @@ func (p *parser) parseGateApplication() error {
 	}
 	// Broadcast: every whole-register operand must share one size.
 	bcast := 1
-	for _, op := range operands {
+	for _, op := range p.operands {
 		if !op.indexed {
 			if bcast == 1 {
 				bcast = op.reg.size
@@ -608,42 +649,54 @@ func (p *parser) parseGateApplication() error {
 	}
 	// Check the whole expansion against the budget before building any
 	// of it.
-	if bcast > (maxExpandedGates-p.expanded)/p.expansionSize(name.text) {
+	kind := builtinKind(name.text)
+	if bcast > (maxExpandedGates-p.expanded)/p.expansionSize(name.text, kind) {
 		return p.errorBudget(name)
 	}
 	for i := 0; i < bcast; i++ {
-		qubits := make([]int, len(operands))
-		for j, op := range operands {
+		top.qubits = top.qubits[:0]
+		for _, op := range p.operands {
 			if op.indexed {
-				qubits[j] = op.reg.offset + op.index
+				top.qubits = append(top.qubits, op.reg.offset+op.index)
 			} else {
-				qubits[j] = op.reg.offset + i
+				top.qubits = append(top.qubits, op.reg.offset+i)
 			}
 		}
-		if err := p.apply(name, name.text, vals, qubits, 0); err != nil {
+		if err := p.apply(name, name.text, kind, top.vals, top.qubits, 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// builtinKind maps OpenQASM gate names onto circuit kinds, including the
-// U/CX primitives and common aliases.
-func builtinKind(name string) (circuit.Kind, bool) {
-	switch name {
-	case "U":
-		return circuit.U3, true
-	case "CX":
-		return circuit.CX, true
-	case "cp":
-		return circuit.CP, true
+// notBuiltin is builtinKind's answer for a name that is not a circuit
+// kind.
+const notBuiltin circuit.Kind = -1
+
+// builtins maps OpenQASM gate names onto circuit kinds, including the U/CX
+// primitives and common aliases.
+var builtins = func() map[string]circuit.Kind {
+	m := make(map[string]circuit.Kind)
+	for _, k := range circuit.Kinds() {
+		m[k.Name()] = k
 	}
-	return circuit.KindByName(name)
+	m["U"], m["CX"], m["cp"] = circuit.U3, circuit.CX, circuit.CP
+	return m
+}()
+
+// builtinKind returns the circuit kind an OpenQASM gate name denotes, or
+// notBuiltin.
+func builtinKind(name string) circuit.Kind {
+	if kind, ok := builtins[name]; ok {
+		return kind
+	}
+	return notBuiltin
 }
 
-// apply expands one gate application into primitive resolvedOps, resolving
-// user definitions recursively.
-func (p *parser) apply(at token, name string, vals []float64, qubits []int, depth int) error {
+// apply expands one application of name, whose builtinKind is kind, into
+// primitive resolvedOps, resolving user definitions recursively. A body
+// statement's arguments are built in frames[depth+1].
+func (p *parser) apply(at token, name string, kind circuit.Kind, vals []float64, qubits []int, depth int) error {
 	if depth > maxExpandDepth {
 		return p.errorf(at, "gate %q expansion exceeds depth %d (recursive definition?)", name, maxExpandDepth)
 	}
@@ -651,7 +704,7 @@ func (p *parser) apply(at token, name string, vals []float64, qubits []int, dept
 	// definition of a standard gate (e.g. a portable "swap" emitted by
 	// Serialize) must still map onto the native kind so that circuits
 	// round-trip gate for gate.
-	if kind, ok := builtinKind(name); ok {
+	if kind != notBuiltin {
 		if kind.Arity() != len(qubits) {
 			return p.errorf(at, "gate %q wants %d qubits, got %d", name, kind.Arity(), len(qubits))
 		}
@@ -664,7 +717,10 @@ func (p *parser) apply(at token, name string, vals []float64, qubits []int, dept
 		if err := p.charge(at); err != nil {
 			return err
 		}
-		p.ops = append(p.ops, resolvedOp{kind: kind, qubits: qubits, params: vals})
+		op := resolvedOp{kind: kind}
+		copy(op.qubits[:], qubits)
+		copy(op.params[:], vals)
+		p.ops = append(p.ops, op)
 		return nil
 	}
 	if def, ok := p.gates[name]; ok {
@@ -680,28 +736,21 @@ func (p *parser) apply(at token, name string, vals []float64, qubits []int, dept
 		if len(def.body) == 0 {
 			return p.charge(at)
 		}
-		env := make(map[string]float64, len(def.params))
-		for i, formal := range def.params {
-			env[formal] = vals[i]
-		}
-		qbind := make(map[string]int, len(def.qargs))
-		for i, formal := range def.qargs {
-			qbind[formal] = qubits[i]
-		}
+		sub := &p.frames[depth+1]
 		for _, stmt := range def.body {
-			args := make([]int, len(stmt.args))
-			for i, formal := range stmt.args {
-				args[i] = qbind[formal]
+			sub.qubits = sub.qubits[:0]
+			for _, i := range stmt.args {
+				sub.qubits = append(sub.qubits, qubits[i])
 			}
-			sub := make([]float64, len(stmt.exprs))
-			for i, e := range stmt.exprs {
-				v, err := e.eval(env)
+			sub.vals = sub.vals[:0]
+			for _, e := range stmt.exprs {
+				v, err := p.eval(e, vals)
 				if err != nil {
 					return p.errorf(at, "gate %q: %v", name, err)
 				}
-				sub[i] = v
+				sub.vals = append(sub.vals, v)
 			}
-			if err := p.apply(at, stmt.name, sub, args, depth+1); err != nil {
+			if err := p.apply(at, stmt.name, stmt.kind, sub.vals, sub.qubits, depth+1); err != nil {
 				return err
 			}
 		}
@@ -798,8 +847,10 @@ func (p *parser) finish() (*Result, error) {
 		return nil, verr.Inputf("qasm: program declares no quantum registers")
 	}
 	c := circuit.New(p.name, p.numQubits)
-	for _, op := range p.ops {
-		c.Append(op.kind, op.qubits, op.params...)
+	c.Grow(len(p.ops))
+	for i := range p.ops {
+		op := &p.ops[i]
+		c.Append(op.kind, op.qubits[:op.kind.Arity()], op.params[:op.kind.NumParams()]...)
 	}
 	// The parser validates arity, ranges, and operand distinctness before
 	// ops reach the builder, but the builder's sticky error is re-checked
@@ -817,81 +868,81 @@ func (p *parser) finish() (*Result, error) {
 
 // ---- expressions ----
 
-// expr is a parameter expression evaluated against a formal-parameter
-// environment.
-type expr interface {
-	eval(env map[string]float64) (float64, error)
+// A parameter expression is compiled to postfix code: evaluating it visits
+// the operands and operators in the order a recursive walk of its tree
+// would, so the first failure is the same.
+type instr struct {
+	op   byte    // one of opConst, opParam, opNeg, opFunc, + - * / ^
+	slot int     // the formal parameter for opParam, the function for opFunc
+	val  float64 // the constant for opConst
 }
 
-type numLit float64
+const (
+	opConst = 'k'
+	opParam = 'p'
+	opNeg   = 'n'
+	opFunc  = 'f'
+)
 
-func (n numLit) eval(map[string]float64) (float64, error) { return float64(n), nil }
+// funcs are the functions a parameter expression may call; opFunc's slot
+// indexes them.
+var funcs = [...]string{"sin", "cos", "tan", "exp", "ln", "sqrt"}
 
-type piLit struct{}
-
-func (piLit) eval(map[string]float64) (float64, error) { return math.Pi, nil }
-
-type paramRef string
-
-func (p paramRef) eval(env map[string]float64) (float64, error) {
-	v, ok := env[string(p)]
-	if !ok {
-		return 0, fmt.Errorf("unbound parameter %q", string(p))
-	}
-	return v, nil
+// emit appends one instruction to the expression being compiled.
+func (p *parser) emit(op byte, slot int, val float64) {
+	p.code = append(p.code, instr{op: op, slot: slot, val: val})
 }
 
-type unaryNeg struct{ x expr }
-
-func (u unaryNeg) eval(env map[string]float64) (float64, error) {
-	v, err := u.x.eval(env)
-	return -v, err
-}
-
-type binaryOp struct {
-	op   byte
-	l, r expr
-}
-
-func (b binaryOp) eval(env map[string]float64) (float64, error) {
-	l, err := b.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.r.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.op {
-	case '+':
-		return l + r, nil
-	case '-':
-		return l - r, nil
-	case '*':
-		return l * r, nil
-	case '/':
-		if r == 0 {
-			return 0, fmt.Errorf("division by zero in parameter expression")
+// eval runs compiled code against the formal-parameter values.
+func (p *parser) eval(code []instr, params []float64) (float64, error) {
+	st := p.stack[:0]
+	for _, in := range code {
+		switch in.op {
+		case opConst:
+			st = append(st, in.val)
+			continue
+		case opParam:
+			st = append(st, params[in.slot])
+			continue
 		}
-		return l / r, nil
-	case '^':
-		return math.Pow(l, r), nil
-	default:
-		return 0, fmt.Errorf("unknown operator %q", string(b.op))
+		v := &st[len(st)-1]
+		switch in.op {
+		case opNeg:
+			*v = -*v
+		case opFunc:
+			r, err := call(in.slot, *v)
+			if err != nil {
+				return 0, err
+			}
+			*v = r
+		default:
+			r := *v
+			st = st[:len(st)-1]
+			l := &st[len(st)-1]
+			switch in.op {
+			case '+':
+				*l += r
+			case '-':
+				*l -= r
+			case '*':
+				*l *= r
+			case '/':
+				if r == 0 {
+					return 0, fmt.Errorf("division by zero in parameter expression")
+				}
+				*l /= r
+			case '^':
+				*l = math.Pow(*l, r)
+			}
+		}
 	}
+	p.stack = st
+	return st[0], nil
 }
 
-type funcCall struct {
-	name string
-	arg  expr
-}
-
-func (f funcCall) eval(env map[string]float64) (float64, error) {
-	v, err := f.arg.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch f.name {
+// call applies funcs[f] to v.
+func call(f int, v float64) (float64, error) {
+	switch funcs[f] {
 	case "sin":
 		return math.Sin(v), nil
 	case "cos":
@@ -905,138 +956,135 @@ func (f funcCall) eval(env map[string]float64) (float64, error) {
 			return 0, fmt.Errorf("ln of non-positive value %g", v)
 		}
 		return math.Log(v), nil
-	case "sqrt":
+	default: // sqrt
 		if v < 0 {
 			return 0, fmt.Errorf("sqrt of negative value %g", v)
 		}
 		return math.Sqrt(v), nil
-	default:
-		return 0, fmt.Errorf("unknown function %q", f.name)
 	}
 }
 
-// parseParam parses one parameter expression of at most maxExprTokens
-// tokens. formals, when non-nil, names the identifiers allowed as
-// parameter references.
-func (p *parser) parseParam(formals map[string]bool) (expr, error) {
+// parseParam compiles one parameter expression of at most maxExprTokens
+// tokens into p.code. formals, nil at top level, names the identifiers
+// allowed as parameter references.
+func (p *parser) parseParam(formals []string) error {
 	p.exprTokens = 0
-	e, err := p.parseExpr(formals)
+	p.code = p.code[:0]
+	err := p.parseExpr(formals)
 	// parseUnary stops the descent at the bound; closing parentheses
 	// taken after the last operand are caught here.
 	if err == nil && p.exprTokens > maxExprTokens {
 		err = p.errorf(p.peek(), "parameter expression longer than %d tokens", maxExprTokens)
 	}
-	return e, err
+	return err
 }
 
 // parseExpr parses an additive expression.
-func (p *parser) parseExpr(formals map[string]bool) (expr, error) {
-	left, err := p.parseTerm(formals)
-	if err != nil {
-		return nil, err
+func (p *parser) parseExpr(formals []string) error {
+	if err := p.parseTerm(formals); err != nil {
+		return err
 	}
 	for p.atSymbol("+") || p.atSymbol("-") {
 		op := p.advance().text[0]
-		right, err := p.parseTerm(formals)
-		if err != nil {
-			return nil, err
+		if err := p.parseTerm(formals); err != nil {
+			return err
 		}
-		left = binaryOp{op: op, l: left, r: right}
+		p.emit(op, 0, 0)
 	}
-	return left, nil
+	return nil
 }
 
-func (p *parser) parseTerm(formals map[string]bool) (expr, error) {
-	left, err := p.parseFactor(formals)
-	if err != nil {
-		return nil, err
+func (p *parser) parseTerm(formals []string) error {
+	if err := p.parseFactor(formals); err != nil {
+		return err
 	}
 	for p.atSymbol("*") || p.atSymbol("/") {
 		op := p.advance().text[0]
-		right, err := p.parseFactor(formals)
-		if err != nil {
-			return nil, err
+		if err := p.parseFactor(formals); err != nil {
+			return err
 		}
-		left = binaryOp{op: op, l: left, r: right}
+		p.emit(op, 0, 0)
 	}
-	return left, nil
+	return nil
 }
 
 // parseFactor handles right-associative exponentiation.
-func (p *parser) parseFactor(formals map[string]bool) (expr, error) {
-	base, err := p.parseUnary(formals)
-	if err != nil {
-		return nil, err
+func (p *parser) parseFactor(formals []string) error {
+	if err := p.parseUnary(formals); err != nil {
+		return err
 	}
 	if p.atSymbol("^") {
 		p.advance()
-		exp, err := p.parseFactor(formals)
-		if err != nil {
-			return nil, err
+		if err := p.parseFactor(formals); err != nil {
+			return err
 		}
-		return binaryOp{op: '^', l: base, r: exp}, nil
+		p.emit('^', 0, 0)
 	}
-	return base, nil
+	return nil
 }
 
-func (p *parser) parseUnary(formals map[string]bool) (expr, error) {
+func (p *parser) parseUnary(formals []string) error {
 	// Every step of the descent passes here and then takes a token.
 	if p.exprTokens >= maxExprTokens {
-		return nil, p.errorf(p.peek(), "parameter expression longer than %d tokens", maxExprTokens)
+		return p.errorf(p.peek(), "parameter expression longer than %d tokens", maxExprTokens)
 	}
 	if p.atSymbol("-") {
 		p.advance()
-		x, err := p.parseUnary(formals)
-		if err != nil {
-			return nil, err
+		if err := p.parseUnary(formals); err != nil {
+			return err
 		}
-		return unaryNeg{x: x}, nil
+		p.emit(opNeg, 0, 0)
+		return nil
 	}
 	return p.parsePrimary(formals)
 }
 
-func (p *parser) parsePrimary(formals map[string]bool) (expr, error) {
+func (p *parser) parsePrimary(formals []string) error {
 	t := p.advance()
 	switch t.kind {
 	case tokNumber:
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, p.errorf(t, "malformed number %q", t.text)
+		v, ok := p.nums[t.text]
+		if !ok {
+			var err error
+			if v, err = strconv.ParseFloat(t.text, 64); err != nil {
+				return p.errorf(t, "malformed number %q", t.text)
+			}
+			if len(p.nums) < maxInterned {
+				p.nums[t.text] = v
+			}
 		}
-		return numLit(v), nil
+		p.emit(opConst, 0, v)
+		return nil
 	case tokIdent:
 		if t.text == "pi" {
-			return piLit{}, nil
+			p.emit(opConst, 0, math.Pi)
+			return nil
 		}
-		switch t.text {
-		case "sin", "cos", "tan", "exp", "ln", "sqrt":
+		if f := slices.Index(funcs[:], t.text); f >= 0 {
 			if err := p.expectSymbol("("); err != nil {
-				return nil, err
+				return err
 			}
-			arg, err := p.parseExpr(formals)
-			if err != nil {
-				return nil, err
+			if err := p.parseExpr(formals); err != nil {
+				return err
 			}
 			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
+				return err
 			}
-			return funcCall{name: t.text, arg: arg}, nil
+			p.emit(opFunc, f, 0)
+			return nil
 		}
-		if formals != nil && formals[t.text] {
-			return paramRef(t.text), nil
+		if i := formal(formals, t.text); i >= 0 {
+			p.emit(opParam, i, 0)
+			return nil
 		}
-		return nil, p.errorf(t, "unknown identifier %q in expression", t.text)
+		return p.errorf(t, "unknown identifier %q in expression", t.text)
 	case tokSymbol:
 		if t.text == "(" {
-			e, err := p.parseExpr(formals)
-			if err != nil {
-				return nil, err
+			if err := p.parseExpr(formals); err != nil {
+				return err
 			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return p.expectSymbol(")")
 		}
 	}
-	return nil, p.errorf(t, "expected expression, found %s", t)
+	return p.errorf(t, "expected expression, found %s", t)
 }

@@ -8,6 +8,8 @@ package qasm
 import (
 	"fmt"
 	"io"
+	"maps"
+	"sync"
 
 	"velociti/internal/verr"
 )
@@ -84,28 +86,37 @@ func ParseReader(name string, r io.Reader) (*Result, error) {
 // All parse failures are input-kind errors (verr.ErrInput): QASM source is
 // untrusted input, so every rejection is a diagnostic, never a panic.
 func ParseReaderWithIncludes(name string, r io.Reader, resolve func(string) (string, error)) (*Result, error) {
-	src := &streamSource{lx: newLexer(r)}
-	p := &parser{
-		ts:      src,
-		name:    name,
-		regs:    make(map[string]qreg),
-		cregs:   make(map[string]int),
-		gates:   make(map[string]*gateDef),
-		resolve: resolve,
-	}
-	if err := p.loadPrelude(); err != nil {
+	gates, err := prelude()
+	if err != nil {
 		// The prelude is compiled in; failing to parse it is a bug, not
 		// bad input, so it stays unmarked.
 		return nil, fmt.Errorf("qasm: internal prelude: %w", err)
 	}
-	err := p.parseProgram()
-	if src.err != nil {
+	p := newParser(name, r, maps.Clone(gates))
+	p.resolve = resolve
+	ops, _ := opsPool.Get().(*[]resolvedOp)
+	if ops == nil {
+		ops = new([]resolvedOp)
+	}
+	p.ops = (*ops)[:0]
+	defer func() {
+		*ops = p.ops[:0]
+		opsPool.Put(ops)
+	}()
+	err = p.parseProgram()
+	if p.ts.err != nil {
 		// Any parse error after a lexical error is downstream of the
 		// synthesized EOF; the lexical error is the root cause.
-		err = src.err
+		err = p.ts.err
 	}
 	if err != nil {
 		return nil, verr.Mark(err)
 	}
 	return p.finish()
 }
+
+// opsPool recycles the parser's resolved-op buffer. finish copies the ops
+// into the circuit, so the buffer is free once a parse returns. Growing a
+// fresh buffer per parse and dropping it leaves large transient objects in
+// the page heap, which raises peak RSS across repeated parses.
+var opsPool sync.Pool

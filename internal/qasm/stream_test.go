@@ -16,7 +16,7 @@ import (
 // ParseReader over the whole text, one byte per Read
 // (iotest.OneByteReader) and half of each Read (iotest.HalfReader) must
 // agree on acceptance, Result and error text, and reject only with
-// input-kind diagnostics. The lexer's lookahead peeks across bufio
+// input-kind diagnostics. The lexer's lookahead reads across window
 // refills, the one place it could depend on read boundaries. The seeds
 // are FuzzParse's plus exponent edge cases.
 func FuzzParseStream(f *testing.F) {
@@ -159,16 +159,26 @@ func TestParseReaderLexError(t *testing.T) {
 }
 
 // TestParseReaderReadError: a read failure is reported like a lexical
-// error, at the line being lexed, and is input-kind.
+// error, at the line being lexed, and is input-kind. When the error comes
+// in the same Read as the program's last bytes, those bytes are lexed
+// first, so it names the line they end on.
 func TestParseReaderReadError(t *testing.T) {
-	r := io.MultiReader(strings.NewReader("OPENQASM 2.0;\nqreg q[1];\nh"), iotest.ErrReader(errors.New("device gone")))
-	_, err := ParseReaderWithIncludes("t", r, nil)
-	if err == nil || !verr.IsInput(err) {
-		t.Fatalf("err = %v, want an input-kind error", err)
-	}
-	for _, want := range []string{"line 3", "read:"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("err = %q, want it to mention %q", err, want)
+	gone := errors.New("device gone")
+	for _, tc := range []struct {
+		r    io.Reader
+		line string
+	}{
+		{io.MultiReader(strings.NewReader("OPENQASM 2.0;\nqreg q[1];\nh"), iotest.ErrReader(gone)), "line 3"},
+		{&dataErrReader{"OPENQASM 2.0;\nqreg q[1];\nh q[0];\n\nh", gone}, "line 5"},
+	} {
+		_, err := ParseReaderWithIncludes("t", tc.r, nil)
+		if err == nil || !verr.IsInput(err) {
+			t.Fatalf("err = %v, want an input-kind error", err)
+		}
+		for _, want := range []string{tc.line, "read: device gone"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %q, want it to mention %q", err, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,9 @@ package velociti
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -112,8 +115,8 @@ func TestFacadeQASMRoundTrip(t *testing.T) {
 func TestFacadeQASMInputError(t *testing.T) {
 	depth := 100000
 	src := "OPENQASM 2.0;\nqreg q[1];\nrx(" + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + ") q[0];\n"
-	if _, err := ParseQASM("deep", src); !IsInputError(err) {
-		t.Fatalf("ParseQASM err = %v, want an input error", err)
+	if _, err := ParseQASM("deep", src); !IsInputError(err) || !errors.Is(err, ErrInput) {
+		t.Fatalf("ParseQASM err = %v, want an input error matching ErrInput", err)
 	}
 	if IsInputError(errors.New("internal")) {
 		t.Fatal("an unmarked error counts as an input error")
@@ -158,6 +161,68 @@ func TestFacadeParams(t *testing.T) {
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
+	}
+
+	// LoadParams reads back what Save wrote, and rejects malformed JSON
+	// as input.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "params.json")
+	if err := p.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadParams(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, p) {
+		t.Fatalf("LoadParams = %+v, want %+v", got, p)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"chain_length": "sixteen"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadParams(bad); !errors.Is(err, ErrInput) {
+		t.Fatalf("LoadParams of malformed JSON: err = %v, want one matching ErrInput", err)
+	}
+}
+
+// TestFacadeRoundRobinAndConstrained: RoundRobinPlacement deals qubit q to
+// chain q mod c, and ParallelTimeConstrained recovers the parallel model
+// with an unlimited budget and can only lengthen it with a finite one.
+func TestFacadeRoundRobinAndConstrained(t *testing.T) {
+	d, err := DeviceFor(16, 4, Ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := RoundRobinPlacement.Place(d, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 16; q++ {
+		if got := l.ChainOf(q); got != q%d.NumChains() {
+			t.Fatalf("RoundRobinPlacement put q%d on chain %d, want %d", q, got, q%d.NumChains())
+		}
+	}
+
+	c := fc(t)(QFT(16))
+	lat := DefaultLatencies()
+	res, err := Evaluate(c, l, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlimited, err := ParallelTimeConstrained(c, l, lat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unlimited != res.ParallelMicros {
+		t.Fatalf("unlimited budget: %v µs, want the parallel model's %v", unlimited, res.ParallelMicros)
+	}
+	one, err := ParallelTimeConstrained(c, l, lat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one <= unlimited {
+		t.Fatalf("one gate per chain: %v µs, want more than the unlimited %v", one, unlimited)
 	}
 }
 
