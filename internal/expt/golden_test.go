@@ -12,8 +12,10 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // TestExperimentGolden pins the rendered tables of the experiments whose
 // trials are bound through core.Stages rather than core.Run — the
-// communication ablation and the control-capacity extension — byte for
-// byte, Table and CSV, at a small fixed run count. Regenerate with
+// communication ablation and the control-capacity extension — and of the
+// annealed-placement ablation, whose layouts come from the incremental
+// scorer, byte for byte, Table and CSV, at a small fixed run count.
+// Regenerate with
 //
 //	go test ./internal/expt -run TestExperimentGolden -update
 func TestExperimentGolden(t *testing.T) {
@@ -26,11 +28,17 @@ func TestExperimentGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	annealed, err := AblationAnnealedPlacement(Options{Runs: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := map[string]string{
-		"ablation_comm.txt": comm.Table(),
-		"ablation_comm.csv": comm.CSV(),
-		"ext_capacity.txt":  capacity.Table(),
-		"ext_capacity.csv":  capacity.CSV(),
+		"ablation_comm.txt":     comm.Table(),
+		"ablation_comm.csv":     comm.CSV(),
+		"ext_capacity.txt":      capacity.Table(),
+		"ext_capacity.csv":      capacity.CSV(),
+		"ablation_annealed.txt": annealed.Table(),
+		"ablation_annealed.csv": annealed.CSV(),
 	}
 	for name, data := range got {
 		path := filepath.Join("testdata", "golden", name)
