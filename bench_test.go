@@ -279,30 +279,6 @@ func BenchmarkLegacyParallelModelQFT(b *testing.B) {
 	}
 }
 
-// BenchmarkGateGraphConstruction measures the paper's directed-graph
-// representation build (§IV-C) plus longest path for the QFT workload —
-// one full from-scratch construction per op through the CSR evaluator
-// kernel.
-func BenchmarkGateGraphConstruction(b *testing.B) {
-	spec := apps.PaperSpecs()[3]
-	d, _ := ti.DeviceFor(spec.Qubits, 16, ti.Ring)
-	r := stats.NewRand(1)
-	layout, _ := RandomPlacement.Place(d, spec.Qubits, r)
-	c, err := schedule.Random{}.Place(spec, layout, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lat := perf.DefaultLatencies()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := perf.NewEvaluator(c)
-		if ev.LongestPath(layout, lat) <= 0 {
-			b.Fatal("bad length")
-		}
-	}
-}
-
 // BenchmarkQASMParseQFT64 measures the OpenQASM front end on the 64-qubit
 // QFT (10,144 gates).
 func BenchmarkQASMParseQFT64(b *testing.B) {
@@ -645,12 +621,10 @@ func BenchmarkLegacyDesignSpaceExploration(b *testing.B) {
 
 // annealBenchInstance builds the large search instance shared by the
 // delta-evaluation and annealing benchmarks: the 576-qubit Supremacy grid
-// (24×24, depth 40, ~23k gates) on 8-ion chains — the regular,
-// layered workload class that motivates search-based placement. Regularity
-// matters for the measurement: a swap's dirty cone stays local to the
-// touched layers, which is exactly the structure the delta path exploits
-// (a uniformly random circuit of the same size entangles every qubit with
-// the whole DAG and the cone degenerates to a full recompute).
+// (24×24, depth 40, 34,656 gates) on 8-ion chains — the regular, layered
+// workload class that motivates search-based placement. A swap there
+// moves the finishes of only the few layers after the swapped qubits'
+// gates, which is the locality the delta path exploits.
 func annealBenchInstance(b *testing.B) (*perf.Evaluator, *ti.Layout) {
 	b.Helper()
 	c, err := apps.Supremacy(24, 24, 40, 1)
@@ -670,9 +644,10 @@ func annealBenchInstance(b *testing.B) (*perf.Evaluator, *ti.Layout) {
 }
 
 // BenchmarkDeltaEval measures the incremental rebind kernel: one qubit
-// swap plus one objective refresh per op on the 96-qubit search instance.
-// This is the annealer's inner loop — per-op cost scales with the swapped
-// qubits' gate incidence and the dirty cone, not the DAG size.
+// swap plus one objective refresh per op on the 576-qubit search
+// instance. This is the annealer's inner loop — per-op cost scales with
+// the swapped qubits' gate incidence and the finishes downstream of them,
+// not the circuit size.
 func BenchmarkDeltaEval(b *testing.B) {
 	ev, layout := annealBenchInstance(b)
 	de, err := perf.NewDeltaEval(ev, layout, perf.WeakLink{}, perf.DefaultLatencies())
@@ -689,7 +664,7 @@ func BenchmarkDeltaEval(b *testing.B) {
 		if q2 >= q1 {
 			q2++
 		}
-		if _, err := de.Swap(q1, q2); err != nil {
+		if err := de.Swap(q1, q2); err != nil {
 			b.Fatal(err)
 		}
 		if de.Cost() <= 0 {
@@ -698,11 +673,10 @@ func BenchmarkDeltaEval(b *testing.B) {
 	}
 }
 
-// benchAnnealedPlacer runs one full annealing search per op at a fixed
-// move budget; full selects the place-then-full-evaluate scoring path.
-func benchAnnealedPlacer(b *testing.B, full bool) {
+// benchAnneal runs one full annealing search per op at a fixed move
+// budget; full selects the place-then-full-evaluate scoring path.
+func benchAnneal(b *testing.B, ev *perf.Evaluator, layout *ti.Layout, full bool) {
 	b.Helper()
-	ev, layout := annealBenchInstance(b)
 	lat := perf.DefaultLatencies()
 	opt := placement.AnnealOptions{Moves: 2000, FullEval: full}
 	b.ReportAllocs()
@@ -718,19 +692,56 @@ func benchAnnealedPlacer(b *testing.B, full bool) {
 	}
 }
 
-// BenchmarkAnnealedPlacer measures the delta-scored annealing search —
-// the layouts/sec figure the ≥10× baseline gate tracks. The committed
-// baseline pins the place-then-full-evaluate cost of the identical search
-// (BenchmarkLegacyAnnealedPlacer, same moves, same accept sequence) at
-// least 10× above this entry, so benchdiff surfaces any erosion of the
-// delta path's advantage.
-func BenchmarkAnnealedPlacer(b *testing.B) { benchAnnealedPlacer(b, false) }
+// BenchmarkAnnealedPlacer measures the delta-scored annealing search on
+// the 576-qubit instance. The annealer-vs-full-eval ratio in
+// BENCH_BASELINE.json requires it to stay at least 10× ahead of
+// BenchmarkLegacyAnnealedPlacer, the identical search (same moves, same
+// accept sequence) priced from scratch, measured in the same run.
+func BenchmarkAnnealedPlacer(b *testing.B) {
+	ev, layout := annealBenchInstance(b)
+	benchAnneal(b, ev, layout, false)
+}
 
-// BenchmarkLegacyAnnealedPlacer pins the pre-refactor cost model: every
-// candidate layout priced from scratch (perf.DeltaEval.FullCost — the
-// bit-exactness oracle doubles as the performance reference, exactly like
-// the legacy DSE and alpha-sweep pins).
-func BenchmarkLegacyAnnealedPlacer(b *testing.B) { benchAnnealedPlacer(b, true) }
+// BenchmarkLegacyAnnealedPlacer is the place-then-full-evaluate reference:
+// every candidate layout priced from scratch (perf.DeltaEval.FullCost —
+// the bit-exactness oracle doubles as the performance reference).
+func BenchmarkLegacyAnnealedPlacer(b *testing.B) {
+	ev, layout := annealBenchInstance(b)
+	benchAnneal(b, ev, layout, true)
+}
+
+// annealQFT32 is the QFT-32 instance of the annealed-placement ablation:
+// 2,512 gates on 16-ion chains from a random start. Every gate depends on
+// the ones before it, so a swap moves a long tail of finishes; this is
+// where an incremental scorer has the least to gain.
+func annealQFT32(b *testing.B) (*perf.Evaluator, *ti.Layout) {
+	b.Helper()
+	c := bc(b)(apps.QFT(32))
+	d, err := ti.DeviceFor(c.NumQubits(), 16, ti.Ring)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout, err := RandomPlacement.Place(d, c.NumQubits(), stats.NewRand(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return perf.NewEvaluator(c), layout
+}
+
+// BenchmarkAnnealedPlacerQFT32 is BenchmarkAnnealedPlacer on QFT-32. The
+// annealer-qft32-vs-full-eval ratio requires it to cost at most 1.5× its
+// from-scratch twin, BenchmarkLegacyAnnealedPlacerQFT32, in the same run.
+func BenchmarkAnnealedPlacerQFT32(b *testing.B) {
+	ev, layout := annealQFT32(b)
+	benchAnneal(b, ev, layout, false)
+}
+
+// BenchmarkLegacyAnnealedPlacerQFT32 is the from-scratch reference on
+// QFT-32.
+func BenchmarkLegacyAnnealedPlacerQFT32(b *testing.B) {
+	ev, layout := annealQFT32(b)
+	benchAnneal(b, ev, layout, true)
+}
 
 // bc unwraps a circuit-generator result, failing the benchmark on error.
 func bc(b *testing.B) func(*circuit.Circuit, error) *circuit.Circuit {

@@ -484,14 +484,14 @@ func TestRunEmptyInput(t *testing.T) {
 
 func TestCommittedBaselineMatchesRepoFile(t *testing.T) {
 	// The committed repo baseline must parse, track the CI smoke
-	// benchmarks, and gate the grouped explorer's allocations.
+	// benchmarks, gate the grouped explorer's allocations, and state the
+	// annealer's speed contracts as same-run ratios.
 	b, err := readBaseline("../../BENCH_BASELINE.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
 		"BenchmarkParallelModelQFT",
-		"BenchmarkGateGraphConstruction",
 		"BenchmarkDesignSpaceExploration",
 		"BenchmarkLegacyDesignSpaceExploration",
 	} {
@@ -501,5 +501,10 @@ func TestCommittedBaselineMatchesRepoFile(t *testing.T) {
 	}
 	if m := b.Benchmarks["BenchmarkDesignSpaceExploration"]; m.AllocsOp == nil || *m.AllocsOp <= 0 {
 		t.Errorf("grouped explorer benchmark must gate allocs/op, got %+v", m)
+	}
+	for _, name := range []string{"annealer-vs-full-eval", "annealer-qft32-vs-full-eval"} {
+		if r, ok := b.Ratios[name]; !ok || r.MaxNsOp == nil {
+			t.Errorf("baseline must gate the %s ratio's ns/op", name)
+		}
 	}
 }

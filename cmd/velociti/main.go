@@ -270,9 +270,8 @@ func run(args []string, out io.Writer) error {
 				breakEven)
 		}
 		if *dotPath != "" {
-			ev := perf.NewEvaluator(c)
-			g := ev.GateGraph(layout, cfg.Latencies)
-			if err := os.WriteFile(*dotPath, []byte(g.DOT(report.Spec.Name, ev.Labels())), 0o644); err != nil {
+			dot := perf.GateGraphDOT(report.Spec.Name, c, layout, cfg.Latencies)
+			if err := os.WriteFile(*dotPath, []byte(dot), 0o644); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote dependency graph to %s\n", *dotPath)

@@ -7,7 +7,7 @@ package expt
 // over the actual parallel-time objective buys on the gate-level Fig 6–9
 // application drivers. Unlike InteractionAware — which minimizes the
 // cross-chain gate count, a proxy — the annealed policy minimizes the
-// dependency-DAG longest path itself (see internal/placement.AnnealLayout).
+// parallel model's makespan itself (see internal/placement.AnnealLayout).
 
 import (
 	"context"

@@ -140,7 +140,7 @@ func BindCircuitScratch(c *circuit.Circuit, l *ti.Layout) (*Binding, error) {
 	e.c = c
 	e.n = n
 	e.oneQGates, e.twoQGates = 0, 0
-	e.once = new(evalOnce)
+	e.once = new(sync.Once)
 	e.labelText, e.labelEnds = "", nil
 	e.qa = growInt32(e.qa, n)
 	e.qb = growInt32(e.qb, n)

@@ -1,32 +1,35 @@
 package perf
 
-// This file exposes the incremental-rebind side of the delta-evaluation
-// stack: a DeltaEval wraps one circuit's Evaluator plus one mutable
-// qubit-to-chain assignment, and prices qubit swaps by updating only the
-// CSR edge weights touching the swapped qubits' gates, then refreshing the
-// affected cone through dag.Delta. A simulated-annealing placer evaluates
-// thousands of candidate layouts per trial; each candidate differs from
-// the previous by one swap, so the delta path does O(gates-per-qubit) work
-// where a full evaluation walks the whole DAG.
+// This file holds incremental repricing for layout search. A DeltaEval
+// wraps one circuit's Evaluator plus one mutable qubit-to-chain
+// assignment. A simulated-annealing placer prices thousands of candidate
+// layouts per trial, each one qubit swap away from the last, so a swap
+// reprices only the 2-qubit gates on the swapped qubits and Cost
+// recomputes only the finishes downstream of a changed latency.
 //
-// The objective DeltaEval maintains is the dependency DAG's longest path
-// under a per-gate latency of the form
+// The objective is the parallel model's recurrence (§IV-C/D), the one
+// Evaluate's walk and the fold compute: a gate finishes at the latest
+// finish of the previous gates on its qubits plus its own latency, here
 //
 //	latency(g) = base[class(g)] + hops(g)·perHop
 //
 // which a timing backend supplies through the optional DeltaWeigher
 // capability. For the weak-link backend this is exactly the paper's model
-// (perHop = 0, weak gates at α·γ — Evaluator.LongestPath bit for bit). For
-// the shuttle backend it is the contention-free transport cost (split +
+// (perHop = 0, weak gates at α·γ — ParallelTime bit for bit). For the
+// shuttle backend it is the contention-free transport cost (split +
 // per-hop move + merge + recool + local γ): junction contention is a
-// sequence-dependent quantity no static edge weight can carry, so the
-// delta objective is a search surrogate there — final reported results are
-// always re-priced by the full backend at the Bind/Time seam.
+// sequence-dependent quantity no static per-gate latency can carry, so
+// the delta objective is a search surrogate there — final reported results
+// are always re-priced by the full backend at the Bind/Time seam.
+//
+// Stale gates sit in a bitset and Cost visits them in ascending id, so a
+// refresh costs one scan of the marked word range plus the gates it
+// touches, never more than a full forward pass; no fallback is needed.
 
 import (
 	"fmt"
+	"math/bits"
 
-	"velociti/internal/dag"
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
@@ -44,7 +47,7 @@ type DeltaWeigher interface {
 
 // DeltaWeights implements DeltaWeigher: the paper's model prices classes at
 // δ / γ / α·γ with no hop dependence, so the delta objective equals
-// Evaluator.LongestPath exactly.
+// ParallelTime exactly.
 func (WeakLink) DeltaWeights(lat Latencies) ([NumGateClasses]float64, float64, error) {
 	if err := lat.Validate(); err != nil {
 		return [NumGateClasses]float64{}, 0, err
@@ -58,8 +61,7 @@ func (WeakLink) DeltaWeights(lat Latencies) ([NumGateClasses]float64, float64, e
 // search, mutate it through Swap, read the objective through Cost, and
 // materialize the final assignment through Layout.
 type DeltaEval struct {
-	ev  *Evaluator
-	lat Latencies
+	ev *Evaluator
 
 	classBase [NumGateClasses]float64
 	perHop    float64
@@ -77,18 +79,26 @@ type DeltaEval struct {
 
 	latency []float64 // current per-gate latency
 	latSum  float64   // running Σ latency, updated per repriced gate
-	edgeSrc []int32   // source gate of each CSR edge
-	delta   *dag.Delta
+
+	// prev[2i+k] and next[2i+k] are the gates before and after gate i on
+	// its k-th operand, or -1 (k = 1 is always -1 for a 1-qubit gate).
+	// finish[i] is gate i's finish time as of the last Cost; sinks holds
+	// the last gate on each qubit, whose finishes bound every other.
+	prev, next []int32
+	finish     []float64
+	sinks      []int32
+
+	// dirty marks the gates whose finish may be stale, one bit per gate;
+	// every set bit lies in words [lo, hi).
+	dirty  []uint64
+	lo, hi int
 
 	touched []int32   // scratch: gates whose latency changed in one Swap
 	prevLat []float64 // scratch: their pre-swap latencies, for rollback
-	changed []int32   // scratch: edge indices changed in one Swap
 	seen    []int32   // per-gate epoch marks deduping touched
 	epoch   int32
 
-	fullScratch dag.Scratch // FullCost working memory
-	fullLatency []float64
-	fullWeights []float64
+	fullLatency, fullFinish []float64 // FullCost working memory
 }
 
 // NewDeltaEval builds the incremental evaluator for ev's circuit starting
@@ -107,10 +117,8 @@ func NewDeltaEval(ev *Evaluator, l *ti.Layout, backend TimingBackend, lat Latenc
 	if ev.c.NumQubits() > l.NumQubits() {
 		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", ev.c.NumQubits(), l.NumQubits())
 	}
-	ev.ensureCSR()
 	d := &DeltaEval{
 		ev:        ev,
-		lat:       lat,
 		classBase: base,
 		perHop:    perHop,
 		device:    l.Device(),
@@ -144,15 +152,36 @@ func NewDeltaEval(ev *Evaluator, l *ti.Layout, backend TimingBackend, lat Latenc
 			cursor[q]++
 		}
 	}
-	d.edgeSrc = make([]int32, len(ev.targets))
-	for u := 0; u < ev.n; u++ {
-		for e := ev.heads[u]; e < ev.heads[u+1]; e++ {
-			d.edgeSrc[e] = int32(u)
+	// Operand links in one program-order pass: last[q] is the latest gate
+	// on qubit q, at operand slot lastK[q].
+	d.prev = make([]int32, 2*ev.n)
+	d.next = make([]int32, 2*ev.n)
+	last := make([]int32, ev.c.NumQubits())
+	lastK := make([]int32, len(last))
+	for q := range last {
+		last[q] = -1
+	}
+	for i := int32(0); i < int32(ev.n); i++ {
+		d.prev[2*i+1], d.next[2*i], d.next[2*i+1] = -1, -1, -1
+		for k, q := range [2]int32{ev.qa[i], ev.qb[i]} {
+			if q < 0 {
+				break
+			}
+			p := last[q]
+			d.prev[2*i+int32(k)] = p
+			if p >= 0 {
+				d.next[2*p+lastK[q]] = i
+			}
+			last[q], lastK[q] = i, int32(k)
+		}
+	}
+	for _, g := range last {
+		if g >= 0 {
+			d.sinks = append(d.sinks, g)
 		}
 	}
 	d.seen = make([]int32, ev.n)
-	// Initial full pricing: per-gate latencies, edge weights, then the
-	// delta kernel over a copy of the weights (dag.Delta takes ownership).
+	d.dirty = make([]uint64, (ev.n+63)/64)
 	d.latency = make([]float64, ev.n)
 	if err := d.fillLatencies(d.latency); err != nil {
 		return nil, err
@@ -160,12 +189,8 @@ func NewDeltaEval(ev *Evaluator, l *ti.Layout, backend TimingBackend, lat Latenc
 	for _, w := range d.latency {
 		d.latSum += w
 	}
-	weights := make([]float64, len(ev.targets))
-	ev.fillWeights(weights, d.latency)
-	d.delta, err = dag.NewDelta(dag.CSR{Heads: ev.heads, Targets: ev.targets, Weights: weights})
-	if err != nil {
-		return nil, err
-	}
+	d.finish = make([]float64, ev.n)
+	d.forward(d.finish, d.latency)
 	return d, nil
 }
 
@@ -213,29 +238,25 @@ func (d *DeltaEval) ChainAssignments(dst []int32) []int32 {
 	return dst
 }
 
-// Swap exchanges the chain assignments of qubits q1 and q2 and updates the
-// edge weights of every gate whose latency changed, returning the changed
-// edge indices (valid until the next Swap; may be empty when the swap is a
-// within-chain no-op). The objective is refreshed lazily: call Cost. Swap
-// is its own inverse — Swap(a,b) followed by Swap(a,b) restores the
-// assignment exactly.
-func (d *DeltaEval) Swap(q1, q2 int) ([]int32, error) {
+// Swap exchanges the chain assignments of qubits q1 and q2 and reprices
+// every gate whose latency changed, marking it stale. The objective is
+// refreshed lazily: call Cost. Swap is its own inverse — Swap(a,b)
+// followed by Swap(a,b) restores the assignment exactly.
+func (d *DeltaEval) Swap(q1, q2 int) error {
 	n := len(d.chainOf)
 	if q1 < 0 || q1 >= n || q2 < 0 || q2 >= n {
-		return nil, verr.Inputf("perf: swap qubits (%d, %d) out of range [0, %d)", q1, q2, n)
+		return verr.Inputf("perf: swap qubits (%d, %d) out of range [0, %d)", q1, q2, n)
 	}
 	if q1 == q2 {
-		return nil, verr.Inputf("perf: swap requires distinct qubits, got %d twice", q1)
+		return verr.Inputf("perf: swap requires distinct qubits, got %d twice", q1)
 	}
 	d.chainOf[q1], d.chainOf[q2] = d.chainOf[q2], d.chainOf[q1]
-	d.changed = d.changed[:0]
 	if d.chainOf[q1] == d.chainOf[q2] {
-		return d.changed, nil // same chain: no gate class or hop count moved
+		return nil // same chain: no gate class or hop count moved
 	}
-	// Phase 1: reprice every 2-qubit gate touching either qubit; collect
-	// the ones whose latency actually changed. A gate touching both qubits
-	// is visited once (epoch marks) and keeps its latency (both operands
-	// moved together), so it drops out at the != check.
+	// Reprice every 2-qubit gate touching either qubit. A gate touching
+	// both qubits is visited once (epoch marks) and keeps its latency
+	// (both operands moved together), so it drops out at the != check.
 	d.epoch++
 	d.touched = d.touched[:0]
 	d.prevLat = d.prevLat[:0]
@@ -252,13 +273,13 @@ func (d *DeltaEval) Swap(q1, q2 int) ([]int32, error) {
 			w, err := d.gateLatency(g)
 			if err != nil {
 				// Roll back the assignment and the latencies already
-				// repriced this phase so the evaluator stays usable.
+				// repriced so the evaluator stays usable.
 				d.chainOf[q1], d.chainOf[q2] = d.chainOf[q2], d.chainOf[q1]
 				for k, t := range d.touched {
 					d.latency[t] = d.prevLat[k]
 				}
 				d.latSum = sumBefore
-				return nil, err
+				return err
 			}
 			if w != d.latency[g] {
 				d.touched = append(d.touched, g)
@@ -268,81 +289,117 @@ func (d *DeltaEval) Swap(q1, q2 int) ([]int32, error) {
 			}
 		}
 	}
-	// Phase 2: recompute the weights of every edge incident to a repriced
-	// gate — its in-edges carry its latency as the target term, and its
-	// out-edges carry it as the start-node source term. Running after all
-	// latencies settled means each recomputation reads final values, and
-	// an edge between two repriced gates is simply recomputed twice with
-	// the second pass finding nothing to change.
 	for _, g := range d.touched {
-		for _, e := range d.delta.InEdges(g) {
-			d.updateEdge(e)
+		d.mark(g)
+	}
+	return nil
+}
+
+// mark flags gate g's finish as stale.
+func (d *DeltaEval) mark(g int32) {
+	w := int(g >> 6)
+	if d.lo >= d.hi {
+		d.lo, d.hi = w, w+1
+	} else if w < d.lo {
+		d.lo = w
+	} else if w >= d.hi {
+		d.hi = w + 1
+	}
+	d.dirty[w] |= 1 << (g & 63)
+}
+
+// finishOf is gate i's finish given its operand predecessors prev and
+// the finish and latency arrays: the walk's recurrence, with the same
+// comparisons in the same order.
+func finishOf(prev []int32, i int, finish, latency []float64) float64 {
+	ready := 0.0
+	if p := prev[2*i]; p >= 0 && finish[p] > ready {
+		ready = finish[p]
+	}
+	if p := prev[2*i+1]; p >= 0 && finish[p] > ready {
+		ready = finish[p]
+	}
+	return ready + latency[i]
+}
+
+// forward computes every gate's finish into finish, in program order.
+func (d *DeltaEval) forward(finish, latency []float64) {
+	for i := range finish {
+		finish[i] = finishOf(d.prev, i, finish, latency)
+	}
+}
+
+// makespan returns the latest finish, which a sink always holds.
+func (d *DeltaEval) makespan(finish []float64) float64 {
+	best := 0.0
+	for _, g := range d.sinks {
+		if finish[g] > best {
+			best = finish[g]
 		}
-		if d.ev.isStart[g] {
-			for e := d.ev.heads[g]; e < d.ev.heads[g+1]; e++ {
-				d.updateEdge(e)
+	}
+	return best
+}
+
+// Cost refreshes the stale finishes and returns the current objective:
+// the parallel model's makespan under the backend's delta weights. For
+// the weak-link backend this equals ParallelTime on the materialized
+// layout bit for bit. Stale gates are recomputed in ascending id, so
+// every predecessor is final first, and a gate's successors are marked
+// only when its finish moved.
+func (d *DeltaEval) Cost() float64 {
+	dirty, prev, next, finish, latency := d.dirty, d.prev, d.next, d.finish, d.latency
+	hi := d.hi
+	for w := d.lo; w < hi; w++ {
+		for dirty[w] != 0 {
+			b := bits.TrailingZeros64(dirty[w])
+			dirty[w] &^= 1 << b
+			i := w<<6 + b
+			f := finishOf(prev, i, finish, latency)
+			if f == finish[i] {
+				continue
+			}
+			finish[i] = f
+			// A successor lies past i, so only hi can grow.
+			for _, s := range next[2*i : 2*i+2] {
+				if s >= 0 {
+					dirty[s>>6] |= 1 << (s & 63)
+					hi = max(hi, int(s>>6)+1)
+				}
 			}
 		}
 	}
-	return d.changed, nil
+	d.lo, d.hi = 0, 0
+	return d.makespan(finish)
 }
-
-// updateEdge recomputes edge e's weight from the current latencies and
-// routes a real change through the delta kernel.
-func (d *DeltaEval) updateEdge(e int32) {
-	w := d.ev.edgeWeight(d.edgeSrc[e], d.ev.targets[e], d.latency)
-	if w != d.delta.Weight(e) {
-		d.delta.SetWeight(e, w)
-		d.changed = append(d.changed, e)
-	}
-}
-
-// Cost refreshes pending changes and returns the current objective: the
-// dependency DAG's longest path under the backend's delta weights. For the
-// weak-link backend this equals Evaluator.LongestPath on the materialized
-// layout bit for bit.
-func (d *DeltaEval) Cost() float64 { return d.delta.Refresh() }
 
 // LatencySum returns the running sum of every gate's current latency — the
 // serial-time analogue of Cost, maintained incrementally across Swaps. The
-// longest-path objective is a max over many paths and plateaus on regular
-// circuits (most single swaps leave every tied critical path untouched);
-// the annealer uses this sum as the plateau tie-breaker so zero-ΔCost moves
+// makespan is a max over many paths and plateaus on regular circuits
+// (most single swaps leave every tied critical path untouched); the
+// annealer uses this sum as the plateau tie-breaker so zero-ΔCost moves
 // still drift toward cheaper layouts. Incremental accumulation can drift
 // from the from-scratch sum in the last bits; the same sequence of Swaps
 // always yields the same value, which is all a tie-breaker needs.
 func (d *DeltaEval) LatencySum() float64 { return d.latSum }
 
-// FullCost prices the current assignment from scratch — fresh latencies,
-// fresh edge weights, a full kernel pass — sharing no incremental state
+// FullCost prices the current assignment from scratch — fresh latencies
+// and one forward pass over fresh finishes — sharing no incremental state
 // with Cost beyond the chain assignment itself. It is the bit-exactness
 // oracle for Cost and the "place-then-full-evaluate" legacy path the
 // annealer benchmarks against.
 func (d *DeltaEval) FullCost() (float64, error) {
-	ev := d.ev
-	if cap(d.fullLatency) < ev.n {
-		d.fullLatency = make([]float64, ev.n)
+	n := d.ev.n
+	if cap(d.fullLatency) < n {
+		d.fullLatency = make([]float64, n)
+		d.fullFinish = make([]float64, n)
 	}
-	d.fullLatency = d.fullLatency[:ev.n]
+	d.fullLatency, d.fullFinish = d.fullLatency[:n], d.fullFinish[:n]
 	if err := d.fillLatencies(d.fullLatency); err != nil {
 		return 0, err
 	}
-	if cap(d.fullWeights) < len(ev.targets) {
-		d.fullWeights = make([]float64, len(ev.targets))
-	}
-	d.fullWeights = d.fullWeights[:len(ev.targets)]
-	ev.fillWeights(d.fullWeights, d.fullLatency)
-	csr := dag.CSR{Heads: ev.heads, Targets: ev.targets, Weights: d.fullWeights}
-	return csr.LongestPath(&d.fullScratch), nil
+	d.forward(d.fullFinish, d.fullLatency)
+	return d.makespan(d.fullFinish), nil
 }
-
-// SetConeLimit forwards to the delta kernel's full-recompute fallback
-// budget (see dag.Delta.SetConeLimit).
-func (d *DeltaEval) SetConeLimit(limit int) { d.delta.SetConeLimit(limit) }
-
-// FullRecomputes reports how many Cost refreshes fell back to a full
-// kernel pass.
-func (d *DeltaEval) FullRecomputes() int { return d.delta.FullRecomputes() }
 
 // Layout materializes the current chain assignment as a ti.Layout. Within
 // each chain, qubits appear in ascending id order; gate classes and hop

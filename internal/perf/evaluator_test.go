@@ -41,26 +41,6 @@ func checkEquivalence(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout
 		t.Fatalf("%s: Binding.ParallelTime = %v, ParallelTime = %v", tag, got, want)
 	}
 
-	edges := c.DependencyEdges()
-	if got, want := e.NumEdges(), len(edges); got != want {
-		t.Fatalf("%s: Evaluator has %d edges, DependencyEdges %d", tag, got, want)
-	}
-	// The gate graph's longest path is the parallel time, except that a
-	// gate with no dependency edge at all counts its own latency.
-	graph := e.LongestPath(l, lat)
-	touched := make([]bool, c.NumGates())
-	for _, ed := range edges {
-		touched[ed[0]], touched[ed[1]] = true, true
-	}
-	for _, g := range c.Gates() {
-		if d := lat.GateLatency(g, l); !touched[g.ID] && d > graph {
-			graph = d
-		}
-	}
-	if want := perf.ParallelTime(c, l, lat); graph != want {
-		t.Fatalf("%s: Evaluator.LongestPath gives %v, ParallelTime %v", tag, graph, want)
-	}
-
 	want, err := perf.Evaluate(c, l, lat)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)

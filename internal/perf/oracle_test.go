@@ -9,6 +9,7 @@ package perf_test
 // metamorphic tests pin invariants of the paper's model (§IV, Eq. 1–2).
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -170,33 +171,29 @@ func TestDriversMatchReference(t *testing.T) {
 }
 
 // TestDeltaMatchesLongestPathAfterSwapWalk: after every step of a random
-// swap walk, incremental repricing equals a from-scratch longest path on
-// the materialized layout.
+// swap walk, incremental repricing equals the reference walk on the
+// materialized layout, under both backends' delta latencies.
 func TestDeltaMatchesLongestPathAfterSwapWalk(t *testing.T) {
 	r := stats.NewRand(77)
 	for _, oc := range oracleCases(t, 4048, 20) {
-		ev := perf.NewEvaluator(oc.c)
 		lat := oc.lats[r.Intn(len(oc.lats))]
-		de, err := perf.NewDeltaEval(ev, oc.l, perf.WeakLink{}, lat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := de.NumQubits()
-		for step := 0; step < 40; step++ {
-			a := r.Intn(n)
-			b := r.Intn(n - 1)
-			if b >= a {
-				b++
-			}
-			if _, err := de.Swap(a, b); err != nil {
-				t.Fatal(err)
-			}
-			ml, err := de.Layout()
+		for _, name := range []string{"weaklink", "shuttle"} {
+			backend := deltaBackends(t)[name]
+			de, err := perf.NewDeltaEval(perf.NewEvaluator(oc.c), oc.l, backend, lat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := de.Cost(), ev.LongestPath(ml, lat); got != want {
-				t.Fatalf("%s step %d: delta cost %v, LongestPath %v", oc.name, step, got, want)
+			n := de.NumQubits()
+			for step := 0; step < 40; step++ {
+				a := r.Intn(n)
+				b := r.Intn(n - 1)
+				if b >= a {
+					b++
+				}
+				if err := de.Swap(a, b); err != nil {
+					t.Fatal(err)
+				}
+				checkDeltaCost(t, fmt.Sprintf("%s %s step %d", oc.name, name, step), de, oc.c, backend, lat)
 			}
 		}
 	}

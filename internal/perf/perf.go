@@ -29,6 +29,7 @@ package perf
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"velociti/internal/circuit"
 	"velociti/internal/ti"
@@ -335,4 +336,42 @@ func Evaluate(c *circuit.Circuit, l *ti.Layout, lat Latencies) (Result, error) {
 // empty circuit.
 func CriticalPath(c *circuit.Circuit, l *ti.Layout, lat Latencies) []string {
 	return walk(c, lat.under(l)).path(c.Labels())
+}
+
+// GateGraphDOT renders §IV-C's gate graph of c under (l, lat) in Graphviz
+// DOT format: one node per gate, labelled with its SSA label, and one edge
+// per circuit.DependencyEdges pair u→v, labelled with its weight — v's
+// latency, plus u's when u is a start node (a gate no edge enters). Start
+// nodes are drawn with a double circle, the paper's Figure 3 convention.
+// The graph's longest path is ParallelTime, except that a gate with no
+// edge at all counts its own latency there.
+func GateGraphDOT(name string, c *circuit.Circuit, l *ti.Layout, lat Latencies) string {
+	gs := c.Gates()
+	edges := c.DependencyEdges()
+	start := make([]bool, len(gs))
+	for i := range start {
+		start[i] = true
+	}
+	for _, e := range edges {
+		start[e[1]] = false
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n", name)
+	for id, label := range c.Labels() {
+		shape := "circle"
+		if start[id] {
+			shape = "doublecircle"
+		}
+		fmt.Fprintf(&b, "  n%d [label=%q shape=%s];\n", id, label, shape)
+	}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		w := lat.GateLatency(gs[v], l)
+		if start[u] {
+			w += lat.GateLatency(gs[u], l)
+		}
+		fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", u, v, fmt.Sprintf("%g", w))
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,8 +9,8 @@ import (
 	"testing"
 
 	"velociti/internal/circuit"
-	"velociti/internal/dag"
 	"velociti/internal/ti"
+	"velociti/internal/workload"
 )
 
 // fig3 builds the paper's Figure 3 example: 7 qubits across two chains
@@ -111,59 +112,129 @@ func TestParallelTimeFig3MatchesPaper(t *testing.T) {
 	}
 }
 
-// edgeWeight returns the weight of edge u→v in g and whether it exists.
-func edgeWeight(g dag.CSR, u, v int) (float64, bool) {
-	for i := g.Heads[u]; i < g.Heads[u+1]; i++ {
-		if int(g.Targets[i]) == v {
-			return g.Weights[i], true
+// paperGraph is §IV-C's edge-weighted gate graph, kept in test code as
+// the paper states it: the circuit.DependencyEdges pairs, each edge u→v
+// weighing v's latency plus u's when u is a start node (a gate no edge
+// enters).
+type paperGraph struct {
+	edges   [][2]int
+	weights []float64
+	start   []bool
+}
+
+func newPaperGraph(c *circuit.Circuit, l *ti.Layout, lat Latencies) paperGraph {
+	gs := c.Gates()
+	g := paperGraph{edges: c.DependencyEdges(), start: make([]bool, len(gs))}
+	for i := range g.start {
+		g.start[i] = true
+	}
+	for _, e := range g.edges {
+		g.start[e[1]] = false
+	}
+	for _, e := range g.edges {
+		w := lat.GateLatency(gs[e[1]], l)
+		if g.start[e[0]] {
+			w += lat.GateLatency(gs[e[0]], l)
+		}
+		g.weights = append(g.weights, w)
+	}
+	return g
+}
+
+// weight returns the weight of edge u→v and whether it exists.
+func (g paperGraph) weight(u, v int) (float64, bool) {
+	for k, e := range g.edges {
+		if e == [2]int{u, v} {
+			return g.weights[k], true
 		}
 	}
 	return 0, false
 }
 
-// TestBuildGateGraphFig3Structure pins the gate graph of §IV-C (the
-// Evaluator's dependency CSR under GateGraph's edge weights) on the
+// longestPath relaxes the edges in (u, v) order, a topological order
+// because every edge points forward.
+func (g paperGraph) longestPath() float64 {
+	dist := make([]float64, len(g.start))
+	best := 0.0
+	for k, e := range g.edges {
+		if d := dist[e[0]] + g.weights[k]; d > dist[e[1]] {
+			dist[e[1]] = d
+		}
+		if dist[e[1]] > best {
+			best = dist[e[1]]
+		}
+	}
+	return best
+}
+
+// TestBuildGateGraphFig3Structure pins the gate graph of §IV-C on the
 // paper's Figure 3.
 func TestBuildGateGraphFig3Structure(t *testing.T) {
 	c, l := fig3(t)
-	lat := DefaultLatencies()
-	ev := NewEvaluator(c)
-	g := ev.GateGraph(l, lat)
-	if g.NumNodes() != 6 {
-		t.Fatalf("nodes = %d, want 6", g.NumNodes())
-	}
+	g := newPaperGraph(c, l, DefaultLatencies())
 	// Three start nodes, exactly the gates acting on fresh qubits.
-	entered := make([]bool, g.NumNodes())
-	for _, v := range g.Targets {
-		entered[v] = true
-	}
-	if !reflect.DeepEqual(entered, []bool{false, false, false, true, true, true}) {
-		t.Fatalf("nodes with in-edges = %v, want the last three", entered)
+	if !reflect.DeepEqual(g.start, []bool{true, true, true, false, false, false}) {
+		t.Fatalf("start nodes = %v, want the first three", g.start)
 	}
 	// Edge q3q4 -> q4q5 weighs (1+α)γ = 300: destination is a weak-link
 	// gate (αγ) and the source is a start node (+γ).
-	if w, ok := edgeWeight(g, 1, 3); !ok || w != 300 {
+	if w, ok := g.weight(1, 3); !ok || w != 300 {
 		t.Fatalf("weight(q3q4→q4q5) = %v,%v, want 300", w, ok)
 	}
 	// Edge q4q5 -> q5q6 weighs γ = 100: source is not a start node.
-	if w, ok := edgeWeight(g, 3, 4); !ok || w != 100 {
+	if w, ok := g.weight(3, 4); !ok || w != 100 {
 		t.Fatalf("weight(q4q5→q5q6) = %v,%v, want 100", w, ok)
 	}
 	// Longest path through the graph equals the paper's (1+α)γ + γ = 400.
-	if got := g.LongestPath(nil); got != 400 {
+	if got := g.longestPath(); got != 400 {
 		t.Fatalf("longest path = %v, want 400", got)
 	}
 	// SSA labels on nodes (paper's Figure 3 labels, 0-indexed qubits).
-	if ev.Labels()[3] != "q3q4" {
-		t.Fatalf("node 3 label = %q", ev.Labels()[3])
+	if c.Labels()[3] != "q3q4" {
+		t.Fatalf("node 3 label = %q", c.Labels()[3])
 	}
 }
 
+// paperTime is the parallel time the paper's graph gives: its longest
+// path, or the latency of an isolated gate (one no edge touches) when
+// that is longer. It also returns how many gates were isolated.
+func paperTime(c *circuit.Circuit, l *ti.Layout, lat Latencies) (float64, int) {
+	g := newPaperGraph(c, l, lat)
+	best := g.longestPath()
+	touched := make([]bool, c.NumGates())
+	for _, e := range g.edges {
+		touched[e[0]], touched[e[1]] = true, true
+	}
+	isolated := 0
+	for _, gate := range c.Gates() {
+		if !touched[gate.ID] {
+			isolated++
+			if lt := lat.GateLatency(gate, l); lt > best {
+				best = lt
+			}
+		}
+	}
+	return best, isolated
+}
+
 func TestParallelMatchesGraphLongestPath(t *testing.T) {
-	// Property: DP finish-time computation equals the paper's
-	// edge-weighted longest path, accounting for isolated gates.
+	// Property: the finish-time recurrence equals the paper's
+	// edge-weighted longest path bit for bit, except that a gate with no
+	// dependency edge at all (an isolated gate) counts its own latency.
+	// Small circuits over legal pairs, then larger random circuits over
+	// any pairs on a shuffled layout, each at a random α.
 	r := rand.New(rand.NewSource(77))
-	lat := DefaultLatencies()
+	isolated := 0
+	check := func(tag string, c *circuit.Circuit, l *ti.Layout) {
+		t.Helper()
+		lat := DefaultLatencies()
+		lat.WeakPenalty = 1 + float64(r.Intn(9))*0.125
+		want, iso := paperTime(c, l, lat)
+		isolated += iso
+		if got := ParallelTime(c, l, lat); got != want {
+			t.Fatalf("%s: recurrence %v, graph %v", tag, got, want)
+		}
+	}
 	for trial := 0; trial < 100; trial++ {
 		n := 4 + r.Intn(12)
 		d, err := ti.NewDevice(4, (n+3)/4, ti.Ring)
@@ -188,25 +259,30 @@ func TestParallelMatchesGraphLongestPath(t *testing.T) {
 				c.CX(p[0], p[1])
 			}
 		}
-		g := NewEvaluator(c).GateGraph(l, lat)
-		want := g.LongestPath(nil)
-		// Gates with no dependency edges contribute their own latency.
-		touched := make([]bool, c.NumGates())
-		for u := 0; u < g.NumNodes(); u++ {
-			for i := g.Heads[u]; i < g.Heads[u+1]; i++ {
-				touched[u], touched[g.Targets[i]] = true, true
-			}
+		check(fmt.Sprintf("legal trial %d", trial), c, l)
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + r.Intn(40)
+		c, err := workload.RandomCircuit(n, r.Intn(300), r.Float64(), int64(trial))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, gate := range c.Gates() {
-			if !touched[gate.ID] {
-				if lt := lat.GateLatency(gate, l); lt > want {
-					want = lt
-				}
-			}
+		d, err := ti.DeviceFor(n, 4+r.Intn(13), ti.Ring)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := ParallelTime(c, l, lat); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: DP=%v graph=%v", trial, got, want)
+		chains := make([][]int, d.NumChains())
+		for k, q := range r.Perm(n) {
+			chains[k/d.ChainLength()] = append(chains[k/d.ChainLength()], q)
 		}
+		l, err := ti.NewLayout(d, chains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("random trial %d", trial), c, l)
+	}
+	if isolated == 0 {
+		t.Fatal("no trial had an isolated gate")
 	}
 }
 
@@ -456,10 +532,17 @@ func TestSpeedupZeroParallel(t *testing.T) {
 
 func TestGraphDOTHasStartNodes(t *testing.T) {
 	c, l := fig3(t)
-	ev := NewEvaluator(c)
-	g := ev.GateGraph(l, DefaultLatencies())
-	dot := g.DOT("fig3", ev.Labels())
+	dot := GateGraphDOT("fig3", c, l, DefaultLatencies())
 	if n := strings.Count(dot, "doublecircle"); n != 3 {
 		t.Fatalf("DOT should mark 3 start nodes, got %d", n)
+	}
+	// Every edge of the paper's graph appears once, weighted as §IV-C
+	// weighs it.
+	g := newPaperGraph(c, l, DefaultLatencies())
+	if n := strings.Count(dot, " -> "); n != len(g.edges) {
+		t.Fatalf("DOT has %d edges, the gate graph %d", n, len(g.edges))
+	}
+	if !strings.Contains(dot, `n1 -> n3 [label="300"];`) {
+		t.Fatalf("DOT lacks the weak edge q3q4→q4q5 at 300:\n%s", dot)
 	}
 }

@@ -1,21 +1,21 @@
 package placement
 
 // Search-based placement: a simulated annealer over qubit-swap moves,
-// scored by the delta evaluator (perf.DeltaEval) so each candidate costs
-// O(gates-per-qubit) instead of a full DAG walk. The schedule is
-// deterministic per seed — geometric cooling with a fixed move budget and
-// the classic exp(-Δ/T) acceptance rule — so annealed placements replay
-// bit-for-bit, matching the repo-wide reproducibility contract.
+// scored by the delta evaluator (perf.DeltaEval), which reprices only the
+// gates on the swapped qubits and the finishes downstream of them instead
+// of the whole circuit. The schedule is deterministic per seed —
+// geometric cooling with a fixed move budget and the classic exp(-Δ/T)
+// acceptance rule — so annealed placements replay bit-for-bit, matching
+// the repo-wide reproducibility contract.
 //
-// The objective is the dependency DAG's longest path under the backend's
-// delta weights: the paper's parallel model exactly for the weak-link
-// backend, the contention-free transport cost for shuttle (see
-// perf.DeltaWeigher). Because the longest path is a max over many tied
-// critical paths it plateaus on regular circuits, so ties break on the
-// total latency sum (perf.DeltaEval.LatencySum) — plateau moves drift
-// toward cheaper layouts instead of stalling. Reported results are always
-// re-priced by the full backend afterwards; the annealer only chooses the
-// layout.
+// The objective is the parallel model's makespan under the backend's
+// delta weights: the paper's model exactly for the weak-link backend, the
+// contention-free transport cost for shuttle (see perf.DeltaWeigher).
+// Because the makespan is a max over many tied critical paths it plateaus
+// on regular circuits, so ties break on the total latency sum
+// (perf.DeltaEval.LatencySum) — plateau moves drift toward cheaper
+// layouts instead of stalling. Reported results are always re-priced by
+// the full backend afterwards; the annealer only chooses the layout.
 
 import (
 	"fmt"
@@ -50,9 +50,6 @@ type AnnealOptions struct {
 	// reference oracle and as the legacy cost model the benchmarks gate
 	// the delta path against.
 	FullEval bool
-	// ConeLimit overrides the delta kernel's full-recompute fallback
-	// budget; zero keeps the kernel default.
-	ConeLimit int
 }
 
 // moves resolves the effective move budget for n placed qubits.
@@ -65,11 +62,11 @@ func (o AnnealOptions) moves(n int) int {
 
 // AnnealLayout improves a starting layout for ev's circuit by simulated
 // annealing over qubit-swap moves, returning the best layout found and
-// its objective value (the longest path; the latency-sum tie-breaker only
-// orders equal-path states and is not reported). The search is
+// its objective value (the makespan; the latency-sum tie-breaker only
+// orders equal-makespan states and is not reported). The search is
 // deterministic given r's stream: each move draws one uniform qubit pair,
 // plus one acceptance draw only when the move strictly worsens the
-// longest path. Same-chain pairs are skipped
+// makespan. Same-chain pairs are skipped
 // (they cannot change any gate's class or hop count) but still consume
 // the pair draw, keeping the stream layout-independent. The input layout
 // is not modified.
@@ -78,13 +75,10 @@ func AnnealLayout(ev *perf.Evaluator, l *ti.Layout, backend perf.TimingBackend, 
 	if err != nil {
 		return nil, 0, err
 	}
-	if opt.ConeLimit > 0 {
-		de.SetConeLimit(opt.ConeLimit)
-	}
-	// cost returns the primary objective (longest path) and the tie-break
+	// cost returns the primary objective (makespan) and the tie-break
 	// objective (latency sum). Both modes read the SAME incremental
-	// LatencySum, so FullEval changes only where the path comes from and the
-	// accept/reject sequence stays bit-identical.
+	// LatencySum, so FullEval changes only where the makespan comes from
+	// and the accept/reject sequence stays bit-identical.
 	cost := func() (float64, float64, error) {
 		if opt.FullEval {
 			p, err := de.FullCost()
@@ -98,8 +92,7 @@ func AnnealLayout(ev *perf.Evaluator, l *ti.Layout, backend perf.TimingBackend, 
 	}
 	n := de.NumQubits()
 	if cur == 0 || n < 2 {
-		// Nothing to improve (no gates on the critical path) or nothing
-		// to swap.
+		// Nothing to improve (every gate is free) or nothing to swap.
 		return l, cur, nil
 	}
 	best, bestSum := cur, curSum
@@ -127,15 +120,15 @@ func AnnealLayout(ev *perf.Evaluator, l *ti.Layout, backend perf.TimingBackend, 
 		if de.SameChain(a, b) {
 			continue
 		}
-		if _, err := de.Swap(a, b); err != nil {
+		if err := de.Swap(a, b); err != nil {
 			return nil, 0, err
 		}
 		cand, candSum, err := cost()
 		if err != nil {
 			return nil, 0, err
 		}
-		// Lexicographic acceptance on (longest path, latency sum). The
-		// longest path is a max over many tied critical paths and plateaus
+		// Lexicographic acceptance on (makespan, latency sum). The
+		// makespan is a max over many tied critical paths and plateaus
 		// on regular circuits — most single swaps leave it unchanged — so
 		// plateau moves (dE == 0) accept only when they do not raise the
 		// latency sum, drifting sideways toward cheaper layouts without an
@@ -146,9 +139,10 @@ func AnnealLayout(ev *perf.Evaluator, l *ti.Layout, backend perf.TimingBackend, 
 			accept = r.Float64() < math.Exp(-dE/temp)
 		}
 		if !accept {
-			// Revert without refreshing: the dirty cones of the swap and
-			// its inverse merge and cancel at the next evaluation.
-			if _, err := de.Swap(a, b); err != nil {
+			// Revert without refreshing: the swap and its inverse leave
+			// the same gates stale, and the next Cost finds their
+			// finishes unchanged.
+			if err := de.Swap(a, b); err != nil {
 				return nil, 0, err
 			}
 			continue

@@ -135,7 +135,7 @@ func TestAnnealLayoutNeverWorsens(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := perf.NewEvaluator(c)
-		startCost := ev.LongestPath(start, lat)
+		startCost := perf.ParallelTime(c, start, lat)
 		l, cost, err := AnnealLayout(ev, start, perf.WeakLink{}, lat, stats.NewRand(seed), AnnealOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -143,10 +143,43 @@ func TestAnnealLayoutNeverWorsens(t *testing.T) {
 		if cost > startCost {
 			t.Fatalf("seed %d: annealed cost %v worse than start %v", seed, cost, startCost)
 		}
-		if got := ev.LongestPath(l, lat); got != cost {
+		if got := perf.ParallelTime(c, l, lat); got != cost {
 			t.Fatalf("seed %d: reported cost %v but layout prices at %v", seed, cost, got)
 		}
 		checkComplete(t, l, qubits)
+	}
+}
+
+// TestAnnealLayoutPricesIsolatedGates: four weak CX gates on disjoint
+// pairs, none with a predecessor or a successor, run concurrently at α·γ.
+// The search must see that makespan, co-locate the pairs, and report the
+// cost its layout prices at.
+func TestAnnealLayoutPricesIsolatedGates(t *testing.T) {
+	c := circuit.New("isolated", 8)
+	for q := 0; q < 4; q++ {
+		c.CX(q, q+4)
+	}
+	d, err := ti.NewDevice(4, 2, ti.Line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := ti.NewLayout(d, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := perf.DefaultLatencies()
+	if got := perf.ParallelTime(c, start, lat); got != 200 {
+		t.Fatalf("start layout prices at %v, want 200", got)
+	}
+	l, cost, err := AnnealLayout(perf.NewEvaluator(c), start, perf.WeakLink{}, lat, stats.NewRand(1), AnnealOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := perf.ParallelTime(c, l, lat); got != cost {
+		t.Fatalf("reported cost %v but layout prices at %v", cost, got)
+	}
+	if cost != 100 {
+		t.Fatalf("annealed cost %v, want 100 with every pair on one chain", cost)
 	}
 }
 

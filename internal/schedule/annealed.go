@@ -6,7 +6,7 @@ package schedule
 // but the placer additionally implements LayoutSearcher, which the stage
 // pipeline (internal/core) uses to re-place the layout by simulated
 // annealing against the synthesized circuit before binding. The searched
-// layout minimizes the dependency DAG's longest path under the backend's
+// layout minimizes the parallel model's makespan under the backend's
 // delta weights (see internal/placement.AnnealLayout), not merely the
 // cross-chain gate count.
 

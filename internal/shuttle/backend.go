@@ -67,8 +67,9 @@ func (b Backend) TimeAll(bd *perf.Binding, lats []perf.Latencies) ([]perf.Result
 // split + hops·move + merge + recool + the local γ (α never applies —
 // transport replaces it), which is Time's cost when no two transports
 // queue on a shared segment. Junction contention is sequence-dependent
-// and cannot be carried by a static edge weight, so the annealer searches
-// on this surrogate; reported results are always re-priced by Time.
+// and cannot be carried by a static per-gate latency, so the annealer
+// searches on this surrogate; reported results are always re-priced by
+// Time.
 func (b Backend) DeltaWeights(lat perf.Latencies) ([perf.NumGateClasses]float64, float64, error) {
 	if err := lat.Validate(); err != nil {
 		return [perf.NumGateClasses]float64{}, 0, err

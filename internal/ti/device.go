@@ -308,10 +308,11 @@ func (d *Device) ChainDistances() []int32 {
 			row[i] = -1
 		}
 		row[a] = 0
+		// Each chain enters the queue once, so it never outgrows its
+		// capacity: read it by index rather than reslicing its front away.
 		queue = append(queue[:0], a)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for _, v := range adj[u] {
 				if row[v] == -1 {
 					row[v] = row[u] + 1

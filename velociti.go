@@ -27,7 +27,6 @@
 //   - internal/ti — chains, weak-link ring/line topologies, layouts
 //   - internal/placement, internal/schedule — place-and-route policies
 //   - internal/perf — the serial and parallel performance models
-//   - internal/dag — the directed-graph substrate (longest path)
 //   - internal/apps — Table II application generators (QFT, QAOA, ...)
 //   - internal/workload — random, quantum-volume, and ratio workloads
 //   - internal/qasm — OpenQASM 2.0 import/export
