@@ -532,6 +532,72 @@ func BenchmarkStreamingEvalSmall(b *testing.B) { benchStreamingEval(b, 10_000) }
 // linearly and is deliberately not part of the ratio gate.
 func BenchmarkStreamingEvalLarge(b *testing.B) { benchStreamingEval(b, 1_000_000) }
 
+// streamQFTSource builds the workload of the streaming-overhead pair:
+// apps.QFTProgram(200) as a gate stream (99,700 gates, stream-1m's
+// generator at a tenth of the gates) and a random layout at 16-ion chains.
+func streamQFTSource(b *testing.B) (circuit.Source, *ti.Layout, int) {
+	b.Helper()
+	const n = 200
+	prog, err := apps.QFTProgram(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := ti.DeviceFor(n, 16, ti.Ring)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout, err := RandomPlacement.Place(d, n, stats.NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog.Source(), layout, n + 5*n*(n-1)/2
+}
+
+// BenchmarkStreamingEmitQFT emits the QFT-200 stream and drops every
+// gate: the generation floor under any stream pass, and the denominator
+// of the streaming-price-vs-emit ratio.
+func BenchmarkStreamingEmitQFT(b *testing.B) {
+	src, _, gates := streamQFTSource(b)
+	n := 0
+	count := func(*circuit.Gate) error { n++; return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n = 0
+		if err := src.Emit(count); err != nil {
+			b.Fatal(err)
+		}
+		if n != gates {
+			b.Fatalf("emitted %d gates, want %d", n, gates)
+		}
+	}
+}
+
+// BenchmarkStreamingPriceQFT prices the same stream at one lane through
+// perf.StreamTimeAll: generation, classification and the fold. The
+// streaming-price-vs-emit ratio bounds its ns/op against
+// BenchmarkStreamingEmitQFT's in the same run, so stream pricing's
+// per-gate overhead stays a small multiple of generating the gate.
+func BenchmarkStreamingPriceQFT(b *testing.B) {
+	src, layout, gates := streamQFTSource(b)
+	lats := []perf.Latencies{perf.DefaultLatencies()}
+	price := func() {
+		rs, st, err := perf.StreamTimeAll(src, layout, lats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs[0].ParallelMicros <= 0 || st.Gates != gates {
+			b.Fatalf("bad stream result: %+v over %d gates", rs[0], st.Gates)
+		}
+	}
+	price() // fill the kernel's scratch pools untimed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		price()
+	}
+}
+
 // BenchmarkRouterHotPairs measures the localizing router on a workload
 // with migration opportunities.
 func BenchmarkRouterHotPairs(b *testing.B) {

@@ -485,7 +485,8 @@ func TestRunEmptyInput(t *testing.T) {
 func TestCommittedBaselineMatchesRepoFile(t *testing.T) {
 	// The committed repo baseline must parse, track the CI smoke
 	// benchmarks, gate the grouped explorer's allocations, and state the
-	// annealer's speed contracts as same-run ratios.
+	// annealer's and stream pricing's speed contracts as same-run
+	// ratios.
 	b, err := readBaseline("../../BENCH_BASELINE.json")
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +503,7 @@ func TestCommittedBaselineMatchesRepoFile(t *testing.T) {
 	if m := b.Benchmarks["BenchmarkDesignSpaceExploration"]; m.AllocsOp == nil || *m.AllocsOp <= 0 {
 		t.Errorf("grouped explorer benchmark must gate allocs/op, got %+v", m)
 	}
-	for _, name := range []string{"annealer-vs-full-eval", "annealer-qft32-vs-full-eval"} {
+	for _, name := range []string{"annealer-vs-full-eval", "annealer-qft32-vs-full-eval", "streaming-price-vs-emit"} {
 		if r, ok := b.Ratios[name]; !ok || r.MaxNsOp == nil {
 			t.Errorf("baseline must gate the %s ratio's ns/op", name)
 		}

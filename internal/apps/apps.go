@@ -125,10 +125,18 @@ func QFT(n int) (*circuit.Circuit, error) {
 }
 
 // QFTProgram is QFT as a streaming-capable program: the identical gate
-// sequence, emitted against any circuit.Builder.
+// sequence, emitted against any circuit.Builder. The controlled-phase
+// angle π/2^d depends only on the qubit distance d = j−i, so the n−1
+// angles are computed once here and every emission indexes them. The
+// expression is the per-gate one, so the bits are too, including
+// d ≥ 1024, where the power overflows to +Inf and the angle is 0.
 func QFTProgram(n int) (circuit.Program, error) {
 	if n < 1 {
 		return circuit.Program{}, verr.Inputf("apps: QFT needs at least 1 qubit, got %d", n)
+	}
+	angles := make([]float64, n) // angles[d] for d in [1, n); angles[0] is unused
+	for d := 1; d < n; d++ {
+		angles[d] = math.Pi / math.Pow(2, float64(d))
 	}
 	return circuit.Program{
 		Name:   fmt.Sprintf("qft%d", n),
@@ -137,8 +145,7 @@ func QFTProgram(n int) (circuit.Program, error) {
 			for i := 0; i < n; i++ {
 				c.H(i)
 				for j := i + 1; j < n; j++ {
-					theta := math.Pi / math.Pow(2, float64(j-i))
-					appendCP(c, theta, j, i)
+					appendCP(c, angles[j-i], j, i)
 				}
 			}
 		},

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"velociti/internal/circuit"
@@ -105,6 +107,79 @@ func TestQFTGateCounts(t *testing.T) {
 	// Table II: the 64-qubit QFT has 4032 2-qubit gates.
 	if got := mc(t)(QFT(64)).NumTwoQubitGates(); got != 4032 {
 		t.Fatalf("QFT(64) 2q gates = %d, want 4032", got)
+	}
+}
+
+// TestQFTAnglesMatchPerGateExpression: QFTProgram's angle table must give
+// every rotation the bits of the per-gate expression π/2^(j−i), including
+// distances j−i ≥ 1024, where the power overflows to +Inf and the angle is
+// 0 (math.Ldexp would give a subnormal there). QFT-1030 is streamed, not
+// materialized, and checked gate by gate against the emission order H(i),
+// then for each j > i: RZ(θ/2, j), CX(j, i), RZ(−θ/2, i), CX(j, i),
+// RZ(θ/2, i).
+func TestQFTAnglesMatchPerGateExpression(t *testing.T) {
+	const n = 1030
+	p := must[circuit.Program](t)(QFTProgram(n))
+	i, j, k := 0, 0, 0 // j == i: H(i) is next; else gate k of CP(j, i)
+	overflowed := 0
+	err := p.Source().Emit(func(g *circuit.Gate) error {
+		if i >= n {
+			return fmt.Errorf("gate %d past the end of QFT-%d", g.ID, n)
+		}
+		if j == i {
+			if g.Kind != circuit.H || g.Qubits[0] != i {
+				return fmt.Errorf("gate %d = %s%v, want h q%d", g.ID, g.Kind.Name(), g.Qubits, i)
+			}
+			j, k = i+1, 0
+		} else {
+			theta := math.Pi / math.Pow(2, float64(j-i))
+			kind, qubits, param := circuit.RZ, [2]int{j, -1}, theta/2
+			switch k {
+			case 1, 3:
+				kind, qubits = circuit.CX, [2]int{j, i}
+			case 2:
+				qubits, param = [2]int{i, -1}, -theta/2
+			case 4:
+				qubits = [2]int{i, -1}
+			}
+			got := [2]int{g.Qubits[0], -1}
+			if len(g.Qubits) == 2 {
+				got[1] = g.Qubits[1]
+			}
+			if g.Kind != kind || got != qubits {
+				return fmt.Errorf("gate %d = %s%v, want %s%v", g.ID, g.Kind.Name(), g.Qubits, kind.Name(), qubits)
+			}
+			if kind == circuit.RZ {
+				if got, want := math.Float64bits(g.Params[0]), math.Float64bits(param); got != want {
+					return fmt.Errorf("gate %d (j−i = %d): angle bits %#x, want %#x", g.ID, j-i, got, want)
+				}
+				if j-i >= 1024 {
+					overflowed++
+				}
+			}
+			if k++; k == 5 {
+				k, j = 0, j+1
+			}
+		}
+		if j == n {
+			i++
+			j = i
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != n {
+		t.Fatalf("stream ended at qubit %d of %d", i, n)
+	}
+	// Distances 1024..1029 occur 6+5+4+3+2+1 = 21 times, three rotations
+	// each, and their angle is exactly 0.
+	if overflowed != 63 {
+		t.Fatalf("%d rotations at j−i ≥ 1024, want 63", overflowed)
+	}
+	if theta := math.Pi / math.Pow(2, 1024); theta != 0 {
+		t.Fatalf("π/2^1024 = %g, want 0", theta)
 	}
 }
 

@@ -12,11 +12,13 @@ const (
 // FingerprintAccum is a rolling FNV-1a accumulator over the circuit
 // content-hash byte sequence: name, register width, then each gate's kind,
 // operand count, operands, and parameter bit patterns, in gate order. It
-// lets the streaming evaluation path key caches by circuit content without
-// buffering gates — feed every yielded gate through AddGate and Sum at end
-// of stream equals Circuit.Fingerprint of the materialized circuit, bit
-// for bit (Circuit.Fingerprint itself is implemented on this accumulator,
-// so the two can never drift).
+// lets a streamed Program be keyed by content without buffering gates —
+// feed every yielded gate through AddGate and Sum at end of stream equals
+// Circuit.Fingerprint of the materialized circuit, bit for bit
+// (Circuit.Fingerprint itself is implemented on this accumulator, so the
+// two can never drift). Stream pricing does not hash; the stage graph
+// (core.Stages.StreamEval) wraps a Program's emission in one only when
+// the sum will become a cache key.
 type FingerprintAccum struct {
 	sum uint64
 }

@@ -77,12 +77,6 @@ type Source struct {
 	// and returns the first error — a construction error from the
 	// generator, or the error yield returned to stop early.
 	Emit func(yield func(*Gate) error) error
-	// Fingerprint, when non-nil, returns the stream's content hash —
-	// bit-identical to Circuit.Fingerprint of the materialized circuit —
-	// without consuming the stream. Adapters over materialized circuits
-	// provide it; pure generators leave it nil and consumers fall back to
-	// the rolling accumulator computed during evaluation.
-	Fingerprint func() uint64
 }
 
 // Source adapts a materialized circuit into a stream over its gate list.
@@ -102,7 +96,6 @@ func (c *Circuit) Source() Source {
 			}
 			return nil
 		},
-		Fingerprint: c.Fingerprint,
 	}
 }
 

@@ -110,7 +110,8 @@ type Stages struct {
 	bindKey string
 	// streamKey is the streaming-evaluation prefix (stream.go); in
 	// Program mode it lacks the content component until progFP learns the
-	// rolling fingerprint from the first evaluation.
+	// program's fingerprint from the first keyed evaluation. progFP is
+	// non-nil only in Program mode with a stream key, and 0 until learned.
 	streamKey string
 	progFP    *atomic.Uint64
 
@@ -157,12 +158,6 @@ func newStages(cfg Config, spec circuit.Spec, device *ti.Device) *Stages {
 	if cfg.Circuit != nil {
 		s.shared = perf.NewEvaluator(cfg.Circuit)
 	}
-	if cfg.Program != nil {
-		// Program mode (always streaming — materialized runs convert the
-		// program to a Circuit up front): the body is opaque, so the
-		// content component of the stream key is learned, not derived.
-		s.progFP = new(atomic.Uint64)
-	}
 	if s.pl == nil {
 		return s
 	}
@@ -178,14 +173,18 @@ func newStages(cfg Config, spec circuit.Spec, device *ti.Device) *Stages {
 		// Explicit mode: the circuit is fixed, so Bind depends only on the
 		// layout inputs plus circuit content (and the backend, whose
 		// Prepare annotates the binding).
-		s.bindKey = fmt.Sprintf("bind|%s|circ=%016x|pol=%s", dev, cfg.Circuit.Fingerprint(), polKey) + s.keyBackend
-		s.streamKey = fmt.Sprintf("stream|%s|circ=%016x|pol=%s", dev, cfg.Circuit.Fingerprint(), polKey) + s.keyBackend
+		fp := cfg.Circuit.Fingerprint()
+		s.bindKey = fmt.Sprintf("bind|%s|circ=%016x|pol=%s", dev, fp, polKey) + s.keyBackend
+		s.streamKey = fmt.Sprintf("stream|%s|circ=%016x|pol=%s", dev, fp, polKey) + s.keyBackend
 		return s
 	}
 	if cfg.Program != nil {
-		// The learned fingerprint is appended per evaluation by
-		// streamEvalKey once progFP is populated.
+		// Program mode (always streaming — materialized runs convert the
+		// program to a Circuit up front): the body is opaque, so the
+		// content component of the stream key is learned, not derived.
+		// streamEvalKey appends it once progFP is populated.
 		s.streamKey = fmt.Sprintf("stream|%s|q%d|pol=%s", dev, spec.Qubits, polKey) + s.keyBackend
+		s.progFP = new(atomic.Uint64)
 		return s
 	}
 	s.keyWorkload = fmt.Sprintf("spec=%q/q%d/1q%d/2q%d", spec.Name, spec.Qubits, spec.OneQubitGates, spec.TwoQubitGates)

@@ -29,8 +29,8 @@ import (
 )
 
 // streamArtifact is the cached product of one streaming trial: the
-// per-lane results plus the stream statistics (gate counts and the
-// rolling content fingerprint). Cached artifacts are shared read-only.
+// per-lane results plus the stream's gate counts. Cached artifacts are
+// shared read-only.
 type streamArtifact struct {
 	rs []perf.Result
 	st perf.StreamStats
@@ -41,9 +41,10 @@ type streamArtifact struct {
 // every timing model in lats (lane j equals the materialized
 // Time(b, lats[j]) minus CriticalPath). Results are memoized in the
 // pipeline's stream cache when the configuration can describe itself
-// canonically; in Program mode the content identity is the rolling
-// fingerprint learned from the first evaluation, so the first trial per
-// (seed, lats) computes and later ones hit.
+// canonically; in Program mode the content identity is the program's
+// fingerprint, hashed from the gates of the first keyed trial, so that
+// trial per (seed, lats) computes and later ones hit. A stream nothing
+// will key is never hashed.
 func (s *Stages) StreamEval(seed int64, lats []perf.Latencies) ([]perf.Result, perf.StreamStats, error) {
 	timer, ok := s.cfg.Backend.(perf.SourceTimer)
 	if !ok {
@@ -63,15 +64,20 @@ func (s *Stages) StreamEval(seed int64, lats []perf.Latencies) ([]perf.Result, p
 	if err != nil {
 		return nil, perf.StreamStats{}, err
 	}
+	var fp *circuit.FingerprintAccum
+	if s.progFP != nil && s.progFP.Load() == 0 {
+		// Program emission is deterministic and placement-independent, so
+		// every trial streams the same content: hashing this trial's gates
+		// on their way to the kernel learns the program's content identity
+		// for all later cache keys.
+		fp, src = fingerprinted(src)
+	}
 	rs, sst, err := timer.StreamTimeAll(src, layout, lats)
 	if err != nil {
 		return nil, perf.StreamStats{}, err
 	}
-	if s.progFP != nil {
-		// Program emission is deterministic and placement-independent, so
-		// every trial streams the same content: the fingerprint learned
-		// here is the program's content identity for all later cache keys.
-		s.progFP.Store(sst.Fingerprint)
+	if fp != nil {
+		s.progFP.Store(fp.Sum())
 	}
 	if key := s.streamEvalKey(seed, lats); key != "" {
 		s.pl.stream.Put(key, streamArtifact{rs: rs, st: sst})
@@ -79,11 +85,26 @@ func (s *Stages) StreamEval(seed int64, lats []perf.Latencies) ([]perf.Result, p
 	return rs, sst, nil
 }
 
+// fingerprinted returns src with every yielded gate also folded into the
+// returned accumulator, which holds Circuit.Fingerprint of the
+// materialized stream once Emit has returned nil.
+func fingerprinted(src circuit.Source) (*circuit.FingerprintAccum, circuit.Source) {
+	fp := circuit.NewFingerprintAccum(src.Name, src.Qubits)
+	emit := src.Emit
+	src.Emit = func(yield func(*circuit.Gate) error) error {
+		return emit(func(g *circuit.Gate) error {
+			fp.AddGate(g)
+			return yield(g)
+		})
+	}
+	return &fp, src
+}
+
 // streamEvalKey builds the full stream-cache key for one (seed, lats)
 // evaluation, or "" when the stage is uncacheable. In Program mode the
 // key additionally needs the learned content fingerprint; before the
-// first evaluation completes (fingerprint still zero) the stage computes
-// uncached.
+// first keyed evaluation completes (fingerprint still zero) the stage
+// computes uncached.
 func (s *Stages) streamEvalKey(seed int64, lats []perf.Latencies) string {
 	if s.pl == nil || s.streamKey == "" {
 		return ""

@@ -196,6 +196,64 @@ func TestStreamPipelineCaches(t *testing.T) {
 	}
 }
 
+// TestStreamProgramsKeyByContent: two Programs with the same Name and
+// Qubits but different bodies share one Pipeline. Each run learns its own
+// program's fingerprint from its first trial, so the second program's cold
+// run hits none of the first's stream entries and prices differently, and
+// a warm run of either hits only its own entries (Runs−1 hits each).
+func TestStreamProgramsKeyByContent(t *testing.T) {
+	const n = 12
+	chain := circuit.Program{Name: "same", Qubits: n, Body: func(b circuit.Builder) {
+		for q := 0; q+1 < n; q++ {
+			b.CX(q, q+1) // one dependency chain: depth n−1
+		}
+	}}
+	layered := circuit.Program{Name: "same", Qubits: n, Body: func(b circuit.Builder) {
+		for q := 0; q+1 < n; q += 2 {
+			b.CX(q, q+1)
+		}
+		for q := 1; q+1 < n; q += 2 {
+			b.CX(q, q+1) // the same n−1 gates in two layers
+		}
+	}}
+	pl := core.NewPipeline()
+	run := func(p *circuit.Program, workers int) *core.Report {
+		t.Helper()
+		rep, err := core.Run(core.Config{Program: p, ChainLength: 4, Runs: 4, Seed: 17, Workers: workers, Stream: true, Pipeline: pl})
+		if err != nil {
+			t.Fatalf("%s run: %v", p.Name, err)
+		}
+		return rep
+	}
+	a := run(&chain, 1)
+	b := run(&layered, 1)
+	if st := pl.Stats().Stream; st.Hits != 0 || st.Entries != 2*len(a.Trials) {
+		t.Fatalf("cold runs of two programs: %d hits and %d entries, want 0 and %d", st.Hits, st.Entries, 2*len(a.Trials))
+	}
+	if a.Spec != b.Spec {
+		t.Fatalf("specs differ: %+v vs %+v", a.Spec, b.Spec)
+	}
+	for i := range a.Trials {
+		if a.Trials[i].Perf.ParallelMicros == b.Trials[i].Perf.ParallelMicros {
+			t.Fatalf("trial %d: both programs price at %v µs", i, a.Trials[i].Perf.ParallelMicros)
+		}
+	}
+	if !reflect.DeepEqual(run(&chain, 1), a) || !reflect.DeepEqual(run(&layered, 1), b) {
+		t.Fatal("a warm run diverges from its cold run")
+	}
+	if st, want := pl.Stats().Stream, uint64(2*(len(a.Trials)-1)); st.Hits != want {
+		t.Fatalf("warm runs: %d stream hits, want %d", st.Hits, want)
+	}
+	// Concurrent trials may each hash before one stores the sum; the
+	// hit count then varies, the reports may not.
+	pl = core.NewPipeline()
+	for k := 0; k < 2; k++ {
+		if !reflect.DeepEqual(run(&chain, 4), a) || !reflect.DeepEqual(run(&layered, 4), b) {
+			t.Fatalf("concurrent run %d diverges from the serial runs", k)
+		}
+	}
+}
+
 func TestStreamValidateRejects(t *testing.T) {
 	prog, err := apps.QFTProgram(8)
 	if err != nil {

@@ -93,9 +93,8 @@ type DeltaEval struct {
 	dirty  []uint64
 	lo, hi int
 
-	touched []int32   // scratch: gates whose latency changed in one Swap
-	prevLat []float64 // scratch: their pre-swap latencies, for rollback
-	seen    []int32   // per-gate epoch marks deduping touched
+	touched []int32 // scratch: gates whose latency changed in one Swap
+	seen    []int32 // per-gate epoch marks deduping touched
 	epoch   int32
 
 	fullLatency, fullFinish []float64 // FullCost working memory
@@ -259,8 +258,6 @@ func (d *DeltaEval) Swap(q1, q2 int) error {
 	// (both operands moved together), so it drops out at the != check.
 	d.epoch++
 	d.touched = d.touched[:0]
-	d.prevLat = d.prevLat[:0]
-	sumBefore := d.latSum
 	for _, q := range [2]int{q1, q2} {
 		if q >= d.ev.c.NumQubits() {
 			continue // idle qubit: no gates to reprice
@@ -272,18 +269,19 @@ func (d *DeltaEval) Swap(q1, q2 int) error {
 			d.seen[g] = d.epoch
 			w, err := d.gateLatency(g)
 			if err != nil {
-				// Roll back the assignment and the latencies already
-				// repriced so the evaluator stays usable.
+				// Only the assignment needs rolling back: no latency has
+				// changed yet. Every gate spans connected chains before a
+				// swap (NewDeltaEval rejects any other layout, and a
+				// rejected swap restores the assignment), so a gate can
+				// fail only when q1 and q2 sit in different components.
+				// Then no gate joins q1 and q2, and every 2-qubit gate on
+				// either pairs it with a qubit of the component it left,
+				// so the first gate repriced is the one that fails.
 				d.chainOf[q1], d.chainOf[q2] = d.chainOf[q2], d.chainOf[q1]
-				for k, t := range d.touched {
-					d.latency[t] = d.prevLat[k]
-				}
-				d.latSum = sumBefore
 				return err
 			}
 			if w != d.latency[g] {
 				d.touched = append(d.touched, g)
-				d.prevLat = append(d.prevLat, d.latency[g])
 				d.latSum += w - d.latency[g]
 				d.latency[g] = w
 			}

@@ -18,9 +18,11 @@ package perf
 //
 // Classification state is the same as Bind's: the pooled pair→link table
 // (lowest link id wins, exactly newBindScratch's reverse-iteration rule)
-// and the per-link usage bitmap, both O(device). A rolling content hash
-// (circuit.FingerprintAccum) is folded over the stream so cache keys can
-// still be formed without buffering gates.
+// and the per-link usage bitmap, both O(device). Pricing only
+// classifies and folds: it does not hash the stream. A caller that needs
+// the content key (core.Stages.StreamEval, the one consumer of one)
+// wraps the source's Emit in circuit.FingerprintAccum itself, and only
+// when the key will be read.
 
 import (
 	"fmt"
@@ -35,12 +37,8 @@ import (
 const streamWindow = 4096
 
 // StreamStats summarizes a consumed gate stream: the gate counts the
-// serial model needs and the rolling content fingerprint, bit-identical to
-// Circuit.Fingerprint of the materialized circuit.
+// serial model needs, equal to the materialized circuit's.
 type StreamStats struct {
-	// Fingerprint is the FNV-1a content hash of the stream (name, width,
-	// every gate), equal to the materialized Circuit.Fingerprint.
-	Fingerprint uint64
 	// Gates is the total number of gates consumed.
 	Gates int
 	// OneQubitGates and TwoQubitGates are the paper's q and p.
@@ -49,8 +47,7 @@ type StreamStats struct {
 }
 
 // streamState is the stream driver's per-stream bookkeeping:
-// classification against the layout, gate counts, and the rolling
-// fingerprint.
+// classification against the layout and the gate counts.
 type streamState struct {
 	chainOf  []int
 	pairLink []int32
@@ -60,11 +57,10 @@ type streamState struct {
 
 	oneQ, twoQ  int
 	weak, links int
-	fp          circuit.FingerprintAccum
 }
 
-func newStreamState(src circuit.Source, l *ti.Layout) *streamState {
-	s := &streamState{chainOf: l.ChainAssignments(), fp: circuit.NewFingerprintAccum(src.Name, src.Qubits)}
+func newStreamState(l *ti.Layout) *streamState {
+	s := &streamState{chainOf: l.ChainAssignments()}
 	s.scratch, s.pairLink, s.used, s.nc = newBindScratch(l)
 	return s
 }
@@ -72,7 +68,6 @@ func newStreamState(src circuit.Source, l *ti.Layout) *streamState {
 // classify mirrors Bind's walk for one gate: class, weak-gate tally, and
 // distinct-links tally (lowest link id wins, matching newBindScratch).
 func (s *streamState) classify(g *circuit.Gate) GateClass {
-	s.fp.AddGate(g)
 	if !g.IsTwoQubit() {
 		s.oneQ++
 		return ClassOneQ
@@ -96,7 +91,6 @@ func (s *streamState) close() StreamStats {
 	bindScratchPool.Put(s.scratch)
 	s.scratch = nil
 	return StreamStats{
-		Fingerprint:   s.fp.Sum(),
 		Gates:         s.oneQ + s.twoQ,
 		OneQubitGates: s.oneQ,
 		TwoQubitGates: s.twoQ,
@@ -122,7 +116,7 @@ func streamChecks(src circuit.Source, l *ti.Layout, lats []Latencies) error {
 // with the weak-link backend, in O(qubits·lanes + window) memory. Entry j
 // equals Binding.TimeAll(lats)[j] on the materialized circuit, bit for
 // bit, except that CriticalPath is omitted (see the file comment). The
-// returned StreamStats carries the rolling fingerprint for cache keying.
+// returned StreamStats carries the stream's gate counts.
 func StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result, StreamStats, error) {
 	if err := streamChecks(src, l, lats); err != nil {
 		return nil, StreamStats{}, err
@@ -150,7 +144,7 @@ func StreamTransportAll(src circuit.Source, l *ti.Layout, costs TransportCosts, 
 // weak gate's segments) and folds every full window into the per-qubit
 // frontier, so no gate outlives its window.
 func streamPrice(src circuit.Source, l *ti.Layout, lats []Latencies, costs *TransportCosts, window int) ([]Result, StreamStats, error) {
-	st := newStreamState(src, l)
+	st := newStreamState(l)
 	f := newFold(lats, src.Qubits, costs, l.Device().MaxWeakLinks(), 0)
 	defer f.release()
 	g := gateBatch{

@@ -95,7 +95,8 @@ func (b Backend) costs() perf.TransportCosts {
 
 // StreamTimeAll prices a gate stream directly (perf.SourceTimer): the
 // transport busy-until recurrence over the per-qubit frontier, in memory
-// independent of gate count.
+// independent of gate count. Like perf.StreamTimeAll it classifies and
+// folds only; the returned StreamStats carries the stream's gate counts.
 func (b Backend) StreamTimeAll(src circuit.Source, l *ti.Layout, lats []perf.Latencies) ([]perf.Result, perf.StreamStats, error) {
 	return perf.StreamTransportAll(src, l, b.costs(), lats)
 }
