@@ -671,53 +671,6 @@ func (c *Circuit) Clone() *Circuit {
 	return out
 }
 
-// Reordered returns a copy of the circuit whose gates appear in the order
-// given by perm (a permutation of gate ids); gate ids are reassigned to the
-// new positions. Schedulers use this to realize an operation order.
-//
-// Invariant, not input validation: permutations come from the framework's
-// schedulers, never from external input, so a malformed perm is a
-// programmer bug and panics deliberately.
-func (c *Circuit) Reordered(perm []int) *Circuit {
-	if len(perm) != len(c.gates) {
-		panic(fmt.Sprintf("circuit: permutation length %d != gate count %d", len(perm), len(c.gates)))
-	}
-	seen := make([]bool, len(perm))
-	out := New(c.Name, c.numQubits)
-	out.gates = make([]Gate, len(perm))
-	for pos, id := range perm {
-		if id < 0 || id >= len(c.gates) || seen[id] {
-			panic(fmt.Sprintf("circuit: invalid permutation entry %d", id))
-		}
-		seen[id] = true
-		g := c.gates[id]
-		out.gates[pos] = Gate{
-			ID:     pos,
-			Kind:   g.Kind,
-			Qubits: append([]int(nil), g.Qubits...),
-			Params: append([]float64(nil), g.Params...),
-		}
-	}
-	return out
-}
-
-// DecomposeSWAPs returns a copy of the circuit with every SWAP expanded into
-// three CX gates, the standard decomposition. Other gates are untouched.
-func (c *Circuit) DecomposeSWAPs() *Circuit {
-	out := New(c.Name, c.numQubits)
-	for _, g := range c.gates {
-		if g.Kind == SWAP {
-			a, b := g.Qubits[0], g.Qubits[1]
-			out.CX(a, b)
-			out.CX(b, a)
-			out.CX(a, b)
-			continue
-		}
-		out.Append(g.Kind, g.Qubits, g.Params...)
-	}
-	return out
-}
-
 // String renders the circuit as a program listing.
 func (c *Circuit) String() string {
 	var b strings.Builder

@@ -266,57 +266,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReordered(t *testing.T) {
-	c := New("t", 3)
-	c.H(0)     // 0
-	c.CX(0, 1) // 1
-	c.CX(1, 2) // 2
-	r := c.Reordered([]int{2, 0, 1})
-	if r.Gate(0).Kind != CX || r.Gate(0).Qubits[0] != 1 {
-		t.Fatalf("reordered gate 0 = %v", r.Gate(0))
-	}
-	if r.Gate(1).Kind != H {
-		t.Fatalf("reordered gate 1 = %v", r.Gate(1))
-	}
-	for i := 0; i < 3; i++ {
-		if r.Gate(i).ID != i {
-			t.Fatalf("ids must be reassigned; gate %d has id %d", i, r.Gate(i).ID)
-		}
-	}
-}
-
-func TestReorderedRejectsBadPermutations(t *testing.T) {
-	c := New("t", 2)
-	c.H(0)
-	c.H(1)
-	for _, perm := range [][]int{{0}, {0, 0}, {0, 2}, {-1, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("perm %v should panic", perm)
-				}
-			}()
-			c.Reordered(perm)
-		}()
-	}
-}
-
-func TestDecomposeSWAPs(t *testing.T) {
-	c := New("t", 3)
-	c.H(0)
-	c.SWAP(0, 2)
-	d := c.DecomposeSWAPs()
-	if d.NumGates() != 4 {
-		t.Fatalf("gates after decomposition = %d, want 4", d.NumGates())
-	}
-	if d.Gate(1).Kind != CX || d.Gate(2).Kind != CX || d.Gate(3).Kind != CX {
-		t.Fatalf("SWAP should become 3 CX: %v", d.Gates())
-	}
-	if d.Gate(1).Qubits[0] != 0 || d.Gate(2).Qubits[0] != 2 || d.Gate(3).Qubits[0] != 0 {
-		t.Fatalf("CX directions should alternate: %v", d.Gates())
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	c := New("demo", 2)
 	c.RZ(0.5, 0)

@@ -307,7 +307,7 @@ func RunOnce(cfg Config, seed int64) (*circuit.Circuit, *ti.Layout, perf.Result,
 	if err != nil {
 		return nil, nil, perf.Result{}, err
 	}
-	res, err := st.Time(b, st.cfg.Latencies)
+	res, err := b.Time(st.cfg.Latencies)
 	if err != nil {
 		return nil, nil, perf.Result{}, err
 	}

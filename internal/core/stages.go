@@ -7,8 +7,9 @@ package core
 //	       same RNG stream, then (schedule.LayoutSearcher placers only)
 //	       the layout search over the synthesized circuit
 //	Bind   circuit+layout   → *perf.Binding (per-gate latency classes,
-//	       plus the evaluator and the layout it was bound against)
-//	Time   binding + Latencies → perf.Result
+//	       plus the evaluator and the layout it was bound against),
+//	       prepared by the timing backend, which fixes how it prices
+//	Time   binding + Latencies → perf.Result (Binding.Time/TimeAll)
 //
 // The weak-link penalty α enters only at Time, so sweep cells that differ
 // only in α share one Binding and re-run just the pricing step.
@@ -94,7 +95,7 @@ func (p *Pipeline) Stats() StageStats {
 
 // Stages executes the stage graph for one validated Config. It is
 // immutable after construction and safe for concurrent use — the
-// worker-pool trial runner calls Bind/Time from many goroutines.
+// worker-pool trial runner calls Bind from many goroutines.
 type Stages struct {
 	cfg    Config
 	spec   circuit.Spec
@@ -291,7 +292,8 @@ func (s *Stages) bindCompute(seed int64) (*perf.Binding, error) {
 	}
 	// The backend's Prepare hook runs here, before the binding escapes to
 	// the bind cache or to other goroutines: a published binding is fully
-	// annotated (e.g. the shuttle transport plan) and immutable.
+	// annotated (e.g. the shuttle transport plan and costs), immutable,
+	// and prices itself under the backend's model.
 	if err := s.cfg.Backend.Prepare(b, layout); err != nil {
 		return nil, err
 	}
@@ -299,18 +301,11 @@ func (s *Stages) bindCompute(seed int64) (*perf.Binding, error) {
 }
 
 // Time prices a binding under one timing model — the only stage where the
-// timing model enters, and the only one re-run across an α sweep. Pricing
-// is delegated to the configured timing backend; the default perf.WeakLink
-// is the paper's model.
+// timing model enters, and the only one re-run across an α sweep. It is
+// b.Time: a binding from Bind or BindAll prices itself under the backend
+// that prepared it.
 func (s *Stages) Time(b *perf.Binding, lat perf.Latencies) (perf.Result, error) {
-	return s.cfg.Backend.Time(b, lat)
-}
-
-// TimeAll prices a binding under every timing model in lats with the
-// backend's one-pass parametric kernel; lane j equals Time(b, lats[j])
-// bit for bit — every backend owes that contract.
-func (s *Stages) TimeAll(b *perf.Binding, lats []perf.Latencies) ([]perf.Result, error) {
-	return s.cfg.Backend.TimeAll(b, lats)
+	return b.Time(lat)
 }
 
 func seedKey(prefix string, seed int64) string {
@@ -330,9 +325,10 @@ func RunSweep(cfg Config, lats []perf.Latencies) ([]*Report, error) {
 // RunSweepContext is RunSweep with cancellation: when ctx is cancelled the
 // trial pool stops dispatching and ctx's error is returned. It owns the one
 // trial loop every entry point runs: trial i derives its own seed from the
-// master seed and is bound once and priced for every lane (Bind + TimeAll),
-// or streamed through the backend's frontier kernel when cfg.Stream is set
-// (StreamEval). Results are bit-identical at every worker count.
+// master seed and is bound once and priced for every lane (Bind, then the
+// binding's TimeAll), or streamed through the backend's frontier kernel
+// when cfg.Stream is set (StreamEval). Results are bit-identical at every
+// worker count.
 func RunSweepContext(ctx context.Context, cfg Config, lats []perf.Latencies) ([]*Report, error) {
 	if len(lats) == 0 {
 		return nil, verr.Inputf("core: sweep requires at least one timing model")
@@ -365,7 +361,7 @@ func RunSweepContext(ctx context.Context, cfg Config, lats []perf.Latencies) ([]
 		} else {
 			var b *perf.Binding
 			if b, err = st.Bind(seed); err == nil {
-				rs, err = st.TimeAll(b, lats)
+				rs, err = b.TimeAll(lats)
 			}
 		}
 		if err != nil {

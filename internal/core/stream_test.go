@@ -328,12 +328,6 @@ func (bareBackend) Name() string                            { return "bare" }
 func (bareBackend) CacheKey() string                        { return "bare" }
 func (bareBackend) Validate() error                         { return nil }
 func (bareBackend) Prepare(*perf.Binding, *ti.Layout) error { return nil }
-func (bareBackend) Time(b *perf.Binding, lat perf.Latencies) (perf.Result, error) {
-	return perf.WeakLink{}.Time(b, lat)
-}
-func (bareBackend) TimeAll(b *perf.Binding, lats []perf.Latencies) ([]perf.Result, error) {
-	return perf.WeakLink{}.TimeAll(b, lats)
-}
 
 // TestProgramModeMaterializedRun: a Program without Stream runs through
 // the classic pipeline by materializing once — equal to the explicit

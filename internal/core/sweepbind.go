@@ -100,7 +100,7 @@ func (s *Stages) BindAll(seed int64, lats []perf.Latencies) ([]*perf.Binding, er
 		if aliased {
 			continue
 		}
-		b, err := perf.BindCircuitScratch(c, layout)
+		b, err := perf.NewEvaluatorScratch(c).Bind(layout)
 		if err != nil {
 			return nil, err
 		}

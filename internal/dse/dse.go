@@ -10,10 +10,13 @@
 // becomes one call.
 //
 // Exploration is plan-grouped: the grid is partitioned by latency-
-// independent plan — a (chain length, placer) pair — and each plan's whole
-// α axis is priced from ONE batched trial per seed (core.Stages.BindAll +
-// fidelity.Estimator.EstimateAll), since α enters only at the pricing
-// stage. ExplorePerCell keeps the cell-by-cell reference path; the two are
+// independent plan — a (chain length, placer, backend) triple — and each
+// plan's whole α axis is priced from ONE batched trial per seed
+// (core.Stages.BindAll + fidelity.Estimator.EstimateAll), since α enters
+// only at the pricing stage. Neither path branches on the backend: a
+// binding prices itself under the backend whose Prepare annotated it, so
+// the same estimator calls serve the weak-link and shuttle models.
+// ExplorePerCell keeps the cell-by-cell reference path; the two are
 // bit-identical (see the property tests) because every batched kernel
 // preserves the per-cell draw sequences and float operation order.
 package dse
@@ -208,13 +211,12 @@ func (o Options) grid(spec circuit.Spec) ([]gridCell, error) {
 // placer, backend) triple spanning the whole α axis. Its cells share every
 // stage up to Bind; only the α-dependent pricing differs per lane. The
 // backend is part of the plan, not a lane: its Prepare hook annotates the
-// binding at bind time, so bindings are backend-specific artifacts.
+// binding at bind time, so bindings are backend-specific artifacts that
+// price themselves under their backend.
 type planGroup struct {
 	chainLength int
 	placerName  string
 	backendName string
-	backend     perf.TimingBackend
-	isWeak      bool             // backend is the weak-link model
 	lats        []perf.Latencies // lane j prices Alphas[j]
 	cellIdx     []int            // output index of lane j's grid cell
 
@@ -244,13 +246,10 @@ func (o Options) plans(spec circuit.Spec) ([]planGroup, error) {
 				if err != nil {
 					return nil, err
 				}
-				_, isWeak := backend.(perf.WeakLink)
 				pg := planGroup{
 					chainLength: L,
 					placerName:  placerName,
 					backendName: backendName,
-					backend:     backend,
-					isWeak:      isWeak,
 					lats:        make([]perf.Latencies, nA),
 					cellIdx:     make([]int, nA),
 				}
@@ -367,11 +366,7 @@ func ExploreContext(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 			return err
 		}
 		defer estPool.Put(est)
-		out := vals[(pi*opt.Runs+ri)*nA : (pi*opt.Runs+ri+1)*nA]
-		if pg.stages != nil {
-			return exploreTrialBatched(pg, seed, est, recycle, out)
-		}
-		return exploreTrialPerLane(pg, seed, est, out)
+		return exploreTrial(pg, seed, est, recycle, vals[(pi*opt.Runs+ri)*nA:(pi*opt.Runs+ri+1)*nA])
 	})
 	if err != nil {
 		return nil, err
@@ -405,49 +400,40 @@ func ExploreContext(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 	return points, nil
 }
 
-// exploreTrialBatched runs one (plan, seed) trial through the batched
-// path: one coupled BindAll, then the α axis priced in runs of lanes that
-// share a binding (latency-free placers alias one binding across all
-// lanes; latency-steered placers get one per lane). With recycle set the
-// trial's circuits and evaluators — which nothing retains, since the plan
-// stages carry no pipeline — return to their scratch pools after pricing.
-func exploreTrialBatched(pg *planGroup, seed int64, est *fidelity.Estimator, recycle bool, out []trialVal) error {
-	bs, err := pg.stages.BindAll(seed, pg.lats)
-	if err != nil {
-		return err
+// exploreTrial runs one (plan, seed) trial: the α axis's bindings come
+// from one coupled BindAll, or, for a placer that cannot batch, from each
+// lane's own stages, and every run of lanes sharing a binding is priced in
+// one EstimateAll (latency-free placers alias one binding across all
+// lanes; latency-steered placers get one per lane). With recycle set, the
+// circuits and evaluators BindAll made — which nothing retains, since the
+// plan stages carry no pipeline — return to their scratch pools after
+// pricing.
+func exploreTrial(pg *planGroup, seed int64, est *fidelity.Estimator, recycle bool, out []trialVal) error {
+	var bs []*perf.Binding
+	if pg.stages != nil {
+		var err error
+		if bs, err = pg.stages.BindAll(seed, pg.lats); err != nil {
+			return err
+		}
+	} else {
+		recycle = false
+		bs = make([]*perf.Binding, len(pg.lats))
+		for ai, st := range pg.laneStages {
+			b, err := st.Bind(seed)
+			if err != nil {
+				return err
+			}
+			bs[ai] = b
+		}
 	}
-	nA := len(pg.lats)
-	var times []float64 // shuttle-path makespan scratch
-	for a0 := 0; a0 < nA; {
+	for a0 := 0; a0 < len(bs); {
 		a1 := a0 + 1
-		for a1 < nA && bs[a1] == bs[a0] {
+		for a1 < len(bs) && bs[a1] == bs[a0] {
 			a1++
 		}
-		var ests []fidelity.Estimate
-		if pg.isWeak {
-			ests, err = est.EstimateAll(bs[a0], pg.lats[a0:a1])
-			if err != nil {
-				return err
-			}
-		} else {
-			// Alternate backends own the makespan: price the lane run
-			// through the backend's batched kernel, then feed the windows
-			// into the latency-independent fidelity terms.
-			rs, err := pg.stages.TimeAll(bs[a0], pg.lats[a0:a1])
-			if err != nil {
-				return err
-			}
-			if cap(times) < len(rs) {
-				times = make([]float64, len(rs))
-			}
-			times = times[:len(rs)]
-			for k, r := range rs {
-				times[k] = r.ParallelMicros
-			}
-			ests, err = est.EstimateTimes(bs[a0], times)
-			if err != nil {
-				return err
-			}
+		ests, err := est.EstimateAll(bs[a0], pg.lats[a0:a1])
+		if err != nil {
+			return err
 		}
 		weak := float64(bs[a0].WeakGates())
 		for ai := a0; ai < a1; ai++ {
@@ -462,32 +448,6 @@ func exploreTrialBatched(pg *planGroup, seed int64, est *fidelity.Estimator, rec
 			perf.RecycleEvaluator(ev)
 		}
 		a0 = a1
-	}
-	return nil
-}
-
-// exploreTrialPerLane is the fallback for non-batchable placers: each α
-// lane binds and prices independently, exactly as the per-cell path does.
-func exploreTrialPerLane(pg *planGroup, seed int64, est *fidelity.Estimator, out []trialVal) error {
-	for ai, lat := range pg.lats {
-		b, err := pg.laneStages[ai].Bind(seed)
-		if err != nil {
-			return err
-		}
-		var e fidelity.Estimate
-		if pg.isWeak {
-			e, err = est.EstimateOne(b, lat)
-		} else {
-			var res perf.Result
-			res, err = pg.laneStages[ai].Time(b, lat)
-			if err == nil {
-				e, err = est.EstimateTime(b, res.ParallelMicros)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		out[ai] = trialVal{par: e.MakespanMicros, log: e.LogTotal, weak: float64(b.WeakGates())}
 	}
 	return nil
 }
@@ -545,23 +505,13 @@ func explorePoint(spec circuit.Spec, opt Options, cell gridCell) (Point, error) 
 	if err != nil {
 		return Point{}, err
 	}
-	_, isWeak := cell.backend.(perf.WeakLink)
 	var parSum, logSum, weakSum float64
 	for i := 0; i < opt.Runs; i++ {
 		b, err := st.Bind(stats.SplitSeed(opt.Seed, i))
 		if err != nil {
 			return Point{}, err
 		}
-		var est fidelity.Estimate
-		if isWeak {
-			est, err = opt.Fidelity.EstimateBinding(b, cell.lat)
-		} else {
-			var res perf.Result
-			res, err = st.Time(b, cell.lat)
-			if err == nil {
-				est, err = opt.Fidelity.EstimateBindingMakespan(b, res.ParallelMicros)
-			}
-		}
+		est, err := opt.Fidelity.EstimateBinding(b, cell.lat)
 		if err != nil {
 			return Point{}, err
 		}

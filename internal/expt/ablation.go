@@ -239,7 +239,7 @@ func AblationCommContext(ctx context.Context, opt Options) (*CommResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		rs, err := st.TimeAll(b, lats)
+		rs, err := b.TimeAll(lats)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"velociti/internal/apps"
 	"velociti/internal/circuit"
 	"velociti/internal/perf"
+	"velociti/internal/shuttle"
 )
 
 // testOpts keeps experiment tests fast while preserving the qualitative
@@ -415,6 +416,17 @@ func TestExtFidelityShapes(t *testing.T) {
 	}
 	if !strings.Contains(res.Table(), "error reduction") || !strings.Contains(res.CSV(), "log_fidelity") {
 		t.Errorf("rendering broken")
+	}
+	// The error model describes weak-link gates, so the study prices the
+	// paper's model whatever backend the options carry.
+	opt := testOpts()
+	opt.Backend = shuttle.Backend{Params: shuttle.Default()}
+	shuttled, err := ExtFidelity(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shuttled.CSV() != res.CSV() {
+		t.Errorf("fidelity study moved with the shuttle backend:\n%s\nwant\n%s", shuttled.CSV(), res.CSV())
 	}
 }
 

@@ -47,8 +47,8 @@ func ExtFidelity(opt Options) (*FidelityResult, error) {
 // ExtFidelityContext is ExtFidelity with cancellation. Trials run through
 // the stage pipeline: the (application × chain length) grid here is exactly
 // Figure 7's, so with a shared Options.Pipeline the layouts, circuits, and
-// bindings are reused rather than regenerated, and only the fidelity pricing
-// is new work. Pricing rides the batched estimator: one Estimator tabulates
+// bindings of a weak-link run are reused rather than regenerated, and only
+// the fidelity pricing is new work. Pricing rides the batched estimator: one Estimator tabulates
 // the per-class error terms for the whole study, and EstimateOne is pinned
 // bit-identical to Model.EstimateBinding (which is itself pinned to Estimate
 // on the trial's (circuit, layout) pair), so the figures are unchanged.
@@ -66,7 +66,12 @@ func ExtFidelityContext(ctx context.Context, opt Options) (*FidelityResult, erro
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			st, err := core.NewStages(opt.baseConfig(spec, L))
+			// The error model's weak-link ε and its dephasing window
+			// describe the paper's model, so the study prices weak-link
+			// gates, whatever opt.Backend says.
+			cfg := opt.baseConfig(spec, L)
+			cfg.Backend = nil
+			st, err := core.NewStages(cfg)
 			if err != nil {
 				return nil, err
 			}

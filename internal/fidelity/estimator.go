@@ -4,7 +4,10 @@ package fidelity
 // latency sweeps. A binding's gate-error terms are latency-independent —
 // only the dephasing window (the parallel-model makespan) changes with the
 // timing model — so pricing an α axis needs the log-space gate sums once
-// and one batched makespan kernel, not len(lats) full passes.
+// and one batched makespan kernel, not len(lats) full passes. The window
+// is the binding's own makespan, so it comes from whichever timing backend
+// prepared the binding: the weak-link parallel model, or the shuttle
+// backend's transport model.
 //
 // Bit-exactness contract: the per-class ε and log1p(−ε) values are
 // tabulated once from the same expressions EstimateBinding evaluates per
@@ -29,10 +32,9 @@ type Estimator struct {
 	eps [perf.NumGateClasses]float64 // per-class expected-error contribution
 	lg  [perf.NumGateClasses]float64 // per-class log1p(−ε) contribution
 
-	times   []float64
-	ests    []Estimate
-	one     [1]perf.Latencies
-	oneTime [1]float64
+	times []float64
+	ests  []Estimate
+	one   [1]perf.Latencies
 }
 
 // NewEstimator validates m and tabulates its per-class terms.
@@ -70,9 +72,10 @@ func (e *Estimator) gateTerms(b *perf.Binding) (logGate, logWeak, expected float
 
 // EstimateAll prices the binding's fidelity under every timing model in
 // lats: the gate-error sums are computed once and the dephasing windows
-// come from the batched parallel-time kernel. Entry j is bit-identical to
-// Model.EstimateBinding(b, lats[j]). The returned slice is owned by the
-// estimator and valid until its next call.
+// come from the binding's batched parallel-time kernel
+// (Binding.ParallelTimeAll, under the backend that prepared it). Entry j
+// is bit-identical to Model.EstimateBinding(b, lats[j]). The returned
+// slice is owned by the estimator and valid until its next call.
 func (e *Estimator) EstimateAll(b *perf.Binding, lats []perf.Latencies) ([]Estimate, error) {
 	if len(lats) == 0 {
 		return nil, fmt.Errorf("fidelity: EstimateAll requires at least one timing model")
@@ -83,38 +86,18 @@ func (e *Estimator) EstimateAll(b *perf.Binding, lats []perf.Latencies) ([]Estim
 		}
 	}
 	e.times = b.ParallelTimeAll(lats, e.times)
-	return e.estimate(b, e.times), nil
-}
-
-// EstimateTimes prices the binding's fidelity with externally supplied
-// dephasing windows — the hook for alternate timing backends (the
-// shuttle backend's makespans are not the weak-link parallel model's).
-// Entry j uses times[j] µs as the dephasing window; the gate-error sums
-// are the same latency-independent terms EstimateAll computes, so for
-// equal windows the two agree bit for bit. The returned slice is owned
-// by the estimator and valid until its next call.
-func (e *Estimator) EstimateTimes(b *perf.Binding, times []float64) ([]Estimate, error) {
-	if len(times) == 0 {
-		return nil, fmt.Errorf("fidelity: EstimateTimes requires at least one makespan")
-	}
-	return e.estimate(b, times), nil
-}
-
-// estimate combines the binding's latency-independent gate-error terms
-// with one dephasing window per entry of times.
-func (e *Estimator) estimate(b *perf.Binding, times []float64) []Estimate {
 	logGate, logWeak, expected := e.gateTerms(b)
 	gateFid := math.Exp(logGate)
 	var weakShare float64
 	if logGate != 0 {
 		weakShare = logWeak / logGate
 	}
-	if cap(e.ests) < len(times) {
-		e.ests = make([]Estimate, len(times))
+	if cap(e.ests) < len(lats) {
+		e.ests = make([]Estimate, len(lats))
 	}
-	e.ests = e.ests[:len(times)]
+	e.ests = e.ests[:len(lats)]
 	nq := float64(b.NumQubits())
-	for j, makespan := range times {
+	for j, makespan := range e.times {
 		// Every qubit dephases for the full window; busy time is not
 		// protected, which errs conservative.
 		logCoherence := -nq * makespan / e.m.T2Micros
@@ -129,7 +112,7 @@ func (e *Estimator) estimate(b *perf.Binding, times []float64) []Estimate {
 		est.Total = math.Exp(est.LogTotal)
 		e.ests[j] = est
 	}
-	return e.ests
+	return e.ests, nil
 }
 
 // EstimateOne is EstimateAll for a single timing model, returning the
@@ -137,18 +120,6 @@ func (e *Estimator) estimate(b *perf.Binding, times []float64) []Estimate {
 func (e *Estimator) EstimateOne(b *perf.Binding, lat perf.Latencies) (Estimate, error) {
 	e.one[0] = lat
 	ests, err := e.EstimateAll(b, e.one[:])
-	if err != nil {
-		return Estimate{}, err
-	}
-	return ests[0], nil
-}
-
-// EstimateTime is EstimateTimes for a single dephasing window, returning
-// the estimate by value. It equals Model.EstimateBindingMakespan(b,
-// makespanMicros) bit for bit.
-func (e *Estimator) EstimateTime(b *perf.Binding, makespanMicros float64) (Estimate, error) {
-	e.oneTime[0] = makespanMicros
-	ests, err := e.EstimateTimes(b, e.oneTime[:])
 	if err != nil {
 		return Estimate{}, err
 	}

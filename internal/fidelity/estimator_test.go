@@ -72,6 +72,53 @@ func TestEstimateAllMatchesEstimateBinding(t *testing.T) {
 	}
 }
 
+// TestEstimateAllPricesTransportMakespan: on a binding the shuttle
+// backend prepared, the dephasing window is the transport model's makespan
+// — lane j of EstimateAll, and EstimateBinding, read TimeAll(lats)[j]'s
+// ParallelMicros bit for bit, not the weak-link model's.
+func TestEstimateAllPricesTransportMakespan(t *testing.T) {
+	weak := estBinding(t, 7)
+	b, err := perf.NewEvaluator(weak.Evaluator().Circuit()).Bind(weak.Layout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := perf.TransportCosts{SplitMicros: 12.3, MovePerHopMicros: 7.7, MergeMicros: 45.6, RecoolMicros: 33.1}
+	if err := b.AttachTransport(b.Layout(), costs); err != nil {
+		t.Fatal(err)
+	}
+	lats := make([]perf.Latencies, 3)
+	for j := range lats {
+		lats[j] = perf.DefaultLatencies()
+		lats[j].WeakPenalty = 2.0 - 0.5*float64(j)
+		lats[j].TwoQubit = 100 + 10*float64(j)
+	}
+	res, err := b.TimeAll(lats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEstimator(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests, err := e.EstimateAll(b, lats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, lat := range lats {
+		if ests[j].MakespanMicros != res[j].ParallelMicros {
+			t.Fatalf("lane %d: EstimateAll window %v, transport makespan %v", j, ests[j].MakespanMicros, res[j].ParallelMicros)
+		}
+		if weak.ParallelTime(lat) == res[j].ParallelMicros {
+			t.Fatalf("lane %d: transport and weak-link makespans coincide (%v); the check cannot tell them apart", j, res[j].ParallelMicros)
+		}
+		one, err := Default().EstimateBinding(b, lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEstimate(t, "EstimateBinding under transport", one, ests[j])
+	}
+}
+
 // TestEstimatorReuse verifies the estimator's internal buffers are reusable:
 // a second call with different lane counts still matches the reference.
 func TestEstimatorReuse(t *testing.T) {

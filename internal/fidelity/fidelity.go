@@ -118,9 +118,11 @@ func (m Model) Estimate(c *circuit.Circuit, l *ti.Layout, lat perf.Latencies) (E
 // stage-pipeline binding: the per-gate latency classes encode exactly the
 // 1q / intra-chain / weak-link distinction the error model prices, so it
 // equals Estimate on the (circuit, layout) pair the binding was built
-// from — Estimate is Bind followed by this. Sweep engines reuse one
-// binding across latency models; only the makespan-dependent dephasing
-// term is re-priced per model.
+// from — Estimate is Bind followed by this. The dephasing window is the
+// binding's own makespan (Binding.ParallelTime), so a binding prepared by
+// the shuttle backend dephases over its transport-model makespan. Sweep
+// engines reuse one binding across latency models; only the
+// makespan-dependent dephasing term is re-priced per model.
 func (m Model) EstimateBinding(b *perf.Binding, lat perf.Latencies) (Estimate, error) {
 	if err := m.Validate(); err != nil {
 		return Estimate{}, err
@@ -129,18 +131,6 @@ func (m Model) EstimateBinding(b *perf.Binding, lat perf.Latencies) (Estimate, e
 		return Estimate{}, err
 	}
 	return m.estimateBindingMakespan(b, b.ParallelTime(lat)), nil
-}
-
-// EstimateBindingMakespan is EstimateBinding with the dephasing window
-// supplied by the caller instead of derived from the weak-link parallel
-// model — the per-cell hook for alternate timing backends, which compute
-// their own makespans. EstimateBinding(b, lat) equals
-// EstimateBindingMakespan(b, b.ParallelTime(lat)) exactly.
-func (m Model) EstimateBindingMakespan(b *perf.Binding, makespanMicros float64) (Estimate, error) {
-	if err := m.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	return m.estimateBindingMakespan(b, makespanMicros), nil
 }
 
 func (m Model) estimateBindingMakespan(b *perf.Binding, makespan float64) Estimate {

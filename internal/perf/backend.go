@@ -1,23 +1,25 @@
 package perf
 
 // This file names the seam between gate binding and gate pricing as an
-// interface. core.Stages binds a circuit to a layout once (Bind) and then
-// asks a TimingBackend to price the binding (Time/TimeAll); everything
-// upstream of the seam — synthesis, placement, classification — is shared
-// between backends, and everything downstream is backend-owned. The
-// weak-link parallel model (WeakLink, the paper's Eq. 1–2 + ASAP DP) is
-// the default and the oracle; internal/shuttle adapts its explicit
-// ion-transport pricing into a second backend.
+// interface. core.Stages binds a circuit to a layout once (Bind) and runs
+// the TimingBackend's Prepare on the binding before publishing it; the
+// binding then prices itself under that backend's model (Binding.Time,
+// TimeAll, ParallelTime, ParallelTimeAll), so Prepare is the one place a
+// pricing model is chosen. Everything upstream of the seam — synthesis,
+// placement, classification — is shared between backends. The weak-link
+// parallel model (WeakLink, the paper's Eq. 1–2 + ASAP DP) is the default
+// and the oracle, and its Prepare attaches nothing; internal/shuttle's
+// Prepare attaches a transport plan and its costs.
 
 import (
 	"velociti/internal/circuit"
 	"velociti/internal/ti"
 )
 
-// TimingBackend prices bound circuits under the latency models of a
-// sweep. Implementations must be immutable values: the backend
-// participates in cache keys (CacheKey) and in the serve layer's request
-// coalescing, so two backends with equal keys must price identically.
+// TimingBackend prepares bound circuits for pricing under its model.
+// Implementations must be immutable values: the backend participates in
+// cache keys (CacheKey) and in the serve layer's request coalescing, so
+// two backends with equal keys must prepare identically.
 type TimingBackend interface {
 	// Name is the backend's selector name as it appears in flags and
 	// request schemas ("weaklink", "shuttle").
@@ -30,27 +32,23 @@ type TimingBackend interface {
 	// error (verr).
 	Validate() error
 	// Prepare attaches whatever layout-dependent, latency-independent
-	// annotations the backend needs to price b — e.g. the shuttle
-	// backend's per-gate transport paths. It runs at Bind time, before
-	// the binding is published to caches or shared across goroutines,
-	// and must be idempotent. The weak-link backend needs nothing.
+	// annotations select and parameterize the backend's model on b — e.g.
+	// the shuttle backend's per-gate transport paths and costs — so that
+	// b's own pricing methods price under this backend. It runs at Bind
+	// time, before the binding is published to caches or shared across
+	// goroutines, and must be idempotent. The weak-link backend needs
+	// nothing.
 	Prepare(b *Binding, l *ti.Layout) error
-	// Time prices the binding under one timing model.
-	Time(b *Binding, lat Latencies) (Result, error)
-	// TimeAll prices the binding under every timing model in lats in one
-	// pass; entry j must equal Time(lats[j]) bit for bit. This is the
-	// parametric kernel contract behind α sweeps: batched and per-cell
-	// pricing are interchangeable at any worker count.
-	TimeAll(b *Binding, lats []Latencies) ([]Result, error)
 }
 
 // SourceTimer is the streaming capability of a timing backend: pricing a
 // gate stream directly, without a materialized circuit or Binding, in
 // memory independent of gate count. Backends that genuinely require
 // materialization simply do not implement it, and core falls back with a
-// typed input error. Entry j of the result must equal TimeAll's entry j on
-// the materialized circuit bit for bit, except that CriticalPath is
-// omitted (see internal/perf/stream.go).
+// typed input error. Entry j of the result must equal Binding.TimeAll's
+// entry j on the materialized circuit, bound and prepared by the same
+// backend, bit for bit, except that CriticalPath is omitted (see
+// internal/perf/stream.go).
 type SourceTimer interface {
 	StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result, StreamStats, error)
 }
@@ -71,15 +69,9 @@ func (WeakLink) CacheKey() string { return "weaklink" }
 // Validate always succeeds.
 func (WeakLink) Validate() error { return nil }
 
-// Prepare is a no-op: the weak-link model prices straight off the gate
-// classes.
+// Prepare is a no-op: a binding without a transport plan prices straight
+// off the gate classes, which is the weak-link model.
 func (WeakLink) Prepare(*Binding, *ti.Layout) error { return nil }
-
-// Time prices the binding under one timing model via Binding.Time.
-func (WeakLink) Time(b *Binding, lat Latencies) (Result, error) { return b.Time(lat) }
-
-// TimeAll prices every timing model in one pass via Binding.TimeAll.
-func (WeakLink) TimeAll(b *Binding, lats []Latencies) ([]Result, error) { return b.TimeAll(lats) }
 
 // StreamTimeAll prices a gate stream directly (the SourceTimer
 // capability) via the fold's stream driver in stream.go.

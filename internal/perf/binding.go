@@ -9,16 +9,22 @@ package perf
 // and lets TimeAll price many latency models in one fold (fold.go) over the
 // gate list instead of one pass per model.
 //
-// Bit-exactness contract: Binding.Time(lat) equals Evaluate(c, l, lat)
-// field for field — including float bit patterns and critical-path
-// tie-breaking — and TimeAll(lats)[i] equals Time(lats[i]). The property
-// tests pin both.
+// A binding prices itself under the timing backend that prepared it: with
+// the transport plan the shuttle backend's Prepare attaches
+// (AttachTransport, transport.go), every pricing method charges explicit
+// ion transport; without one — the weak-link backend's Prepare attaches
+// nothing — the paper's weak-link model.
+//
+// Bit-exactness contract: Binding.Time(lat) on a weak-link binding equals
+// Evaluate(c, l, lat) field for field — including float bit patterns and
+// critical-path tie-breaking — and under either model TimeAll(lats)[i]
+// equals Time(lats[i]) and ParallelTimeAll(lats)[i] equals
+// Time(lats[i]).ParallelMicros. The property tests pin all three.
 
 import (
 	"fmt"
 	"sync"
 
-	"velociti/internal/circuit"
 	"velociti/internal/ti"
 )
 
@@ -52,9 +58,10 @@ type Binding struct {
 	classes []GateClass
 	weak    int
 	links   int
-	// transport is the shuttle timing backend's per-gate path plan,
-	// attached once by AttachTransport (the backend's Prepare hook) before
-	// the binding is shared; nil under the weak-link backend.
+	// transport is the shuttle timing backend's per-gate path plan and
+	// costs, attached once by AttachTransport (the backend's Prepare hook)
+	// before the binding is shared; nil under the weak-link backend. It
+	// selects the model every pricing method uses.
 	transport *transportPlan
 }
 
@@ -121,71 +128,6 @@ func newBindScratch(l *ti.Layout) (s *bindScratch, pairLink []int32, used []bool
 	return s, pairLink, used, nc
 }
 
-// BindCircuitScratch builds a pooled evaluator for c and its binding under
-// l in ONE walk over the gate list — operand extraction and gate
-// classification share the pass, where NewEvaluatorScratch followed by
-// Bind would walk the gates twice. The result is indistinguishable from
-// that two-step sequence (the sweep property tests pin it against
-// Stages.Bind); the same recycling contract applies, via
-// RecycleEvaluator(b.Evaluator()).
-func BindCircuitScratch(c *circuit.Circuit, l *ti.Layout) (*Binding, error) {
-	if c.NumQubits() > l.NumQubits() {
-		return nil, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
-	}
-	e, _ := evaluatorPool.Get().(*Evaluator)
-	if e == nil {
-		e = &Evaluator{}
-	}
-	n := c.NumGates()
-	e.c = c
-	e.n = n
-	e.oneQGates, e.twoQGates = 0, 0
-	e.once = new(sync.Once)
-	e.labelText, e.labelEnds = "", nil
-	e.qa = growInt32(e.qa, n)
-	e.qb = growInt32(e.qb, n)
-	if cap(e.twoQ) < n {
-		e.twoQ = make([]bool, n)
-	}
-	e.twoQ = e.twoQ[:n]
-
-	b := &Binding{ev: e, layout: l, classes: make([]GateClass, n)}
-	s, pairLink, used, nc := newBindScratch(l)
-	chainOf := l.ChainAssignments()
-	gs := c.Gates()
-	for i := range gs {
-		g := &gs[i]
-		id := int32(g.ID)
-		qa := int32(g.Qubits[0])
-		e.qa[id] = qa
-		e.qb[id] = -1
-		e.twoQ[id] = false
-		if !g.IsTwoQubit() {
-			if len(g.Qubits) == 1 {
-				e.oneQGates++
-			}
-			continue
-		}
-		qb := int32(g.Qubits[1])
-		e.twoQ[id] = true
-		e.qb[id] = qb
-		e.twoQGates++
-		ca, cb := chainOf[qa], chainOf[qb]
-		if ca == cb {
-			b.classes[id] = ClassTwoQIntra
-			continue
-		}
-		b.classes[id] = ClassTwoQWeak
-		b.weak++
-		if wid := pairLink[ca*nc+cb]; wid != 0 && !used[wid-1] {
-			used[wid-1] = true
-			b.links++
-		}
-	}
-	bindScratchPool.Put(s)
-	return b, nil
-}
-
 // bindScratch is the pooled pair→link table and usage bitmap of one Bind.
 type bindScratch struct {
 	pairLink []int32
@@ -230,9 +172,11 @@ func classLatencies(lat Latencies) [numClasses]float64 {
 	}
 }
 
-// Time prices the binding under one timing model. The Result is exactly
-// equal — bit for bit, critical path included — to Evaluate on the circuit
-// and layout the binding was built from.
+// Time prices the binding under one timing model, with the transport model
+// when the binding's backend attached a plan and the weak-link model
+// otherwise. Under the weak-link model the Result is exactly equal — bit
+// for bit, critical path included — to Evaluate on the circuit and layout
+// the binding was built from.
 func (b *Binding) Time(lat Latencies) (Result, error) {
 	res, err := b.TimeAll([]Latencies{lat})
 	if err != nil {
@@ -242,9 +186,18 @@ func (b *Binding) Time(lat Latencies) (Result, error) {
 }
 
 // TimeAll prices the binding under every timing model in lats with one
-// fold over the gate list, one lane per model. TimeAll(lats)[i] is exactly
-// equal to Time(lats[i]) — this is the parametric kernel behind α sweeps,
-// where the models differ only in WeakPenalty.
+// fold over the gate list, one lane per model, under the same model Time
+// uses. TimeAll(lats)[i] is exactly equal to Time(lats[i]) — this is the
+// parametric kernel behind α sweeps, where the models differ only in
+// WeakPenalty.
+//
+// Under transport, a weak gate first pays its transport overhead (split +
+// hops·move + merge + recool, serialized against every other transport
+// crossing a shared segment) and then runs at the LOCAL 2-qubit latency γ
+// — the weak penalty α never appears; transport replaces it. SerialMicros
+// is then the Eq. 1 serial bound at α = 1 plus the total transport
+// overhead, and SerialPerGateMicros likewise accumulates overhead plus
+// gate latency in gate order.
 func (b *Binding) TimeAll(lats []Latencies) ([]Result, error) {
 	if len(lats) == 0 {
 		return nil, fmt.Errorf("perf: TimeAll requires at least one timing model")
@@ -252,7 +205,7 @@ func (b *Binding) TimeAll(lats []Latencies) ([]Result, error) {
 	if err := validateAll(lats); err != nil {
 		return nil, err
 	}
-	return b.price(lats, nil), nil
+	return b.price(lats), nil
 }
 
 // validateAll validates every timing model in order.
@@ -266,10 +219,10 @@ func validateAll(lats []Latencies) error {
 }
 
 // ParallelTime prices only the parallel model — the makespan under ASAP
-// scheduling — for one timing model, with no critical-path bookkeeping. It
-// equals Time(lat).ParallelMicros exactly; fidelity estimation uses it for
-// the dephasing window. Like ParallelTimeAll, it assumes a validated
-// timing model.
+// scheduling — for one timing model, with no critical-path bookkeeping,
+// under the same model Time uses. It equals Time(lat).ParallelMicros
+// exactly; fidelity estimation uses it for the dephasing window. Like
+// ParallelTimeAll, it assumes a validated timing model.
 func (b *Binding) ParallelTime(lat Latencies) float64 {
 	var dst [1]float64
 	b.makespans([]Latencies{lat}, dst[:])

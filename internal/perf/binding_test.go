@@ -35,16 +35,17 @@ func checkKernel(t *testing.T, tag string, c *circuit.Circuit, l *ti.Layout, lat
 	if err != nil {
 		t.Fatalf("%s: Bind: %v", tag, err)
 	}
-	// Both binding constructors record the layout they were bound against.
-	sb, err := perf.BindCircuitScratch(c, l)
+	// A binding records the layout it was bound against, also when its
+	// evaluator is rebuilt from recycled storage.
+	sb, err := perf.NewEvaluatorScratch(c).Bind(l)
 	if err != nil {
-		t.Fatalf("%s: BindCircuitScratch: %v", tag, err)
+		t.Fatalf("%s: scratch Bind: %v", tag, err)
 	}
 	if b.Layout() != l || sb.Layout() != l {
 		t.Fatalf("%s: bindings record layouts %p and %p, want %p", tag, b.Layout(), sb.Layout(), l)
 	}
 	if !reflect.DeepEqual(sb.Classes(), b.Classes()) {
-		t.Fatalf("%s: BindCircuitScratch classes diverge from Bind", tag)
+		t.Fatalf("%s: scratch evaluator's classes diverge from Bind", tag)
 	}
 	want := make([]perf.Result, len(lats))
 	for i, lat := range lats {
@@ -203,7 +204,9 @@ func TestKernelValidation(t *testing.T) {
 
 // TestBindingConcurrentTimeAll shares one binding across goroutines — the
 // sweep engine's access pattern — under the race detector, checking lanes
-// stay equal to the sequential reference.
+// stay equal to the sequential reference. It runs once on a weak-link
+// binding and once on a transport-prepared one, whose plan and costs every
+// goroutine reads.
 func TestBindingConcurrentTimeAll(t *testing.T) {
 	c := genc(t)(workload.RandomCircuit(16, 120, 0.2, 3))
 	d, err := ti.DeviceFor(16, 4, ti.Ring)
@@ -216,37 +219,52 @@ func TestBindingConcurrentTimeAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	lats := sweepLats([]float64{2.0, 1.8, 1.6, 1.4, 1.2, 1.0})
-	b, err := perf.NewEvaluator(c).Bind(l)
+	weak, err := perf.NewEvaluator(c).Bind(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := b.TimeAll(lats)
+	shuttled, err := perf.NewEvaluator(c).Bind(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for w := range errs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				got, err := b.TimeAll(lats)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					errs[w] = errMismatch
-					return
-				}
-			}
-		}(w)
+	if err := shuttled.AttachTransport(l, perf.TransportCosts{SplitMicros: 80, MovePerHopMicros: 10, MergeMicros: 80, RecoolMicros: 100}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for w, err := range errs {
+	for _, b := range []*perf.Binding{weak, shuttled} {
+		want, err := b.TimeAll(lats)
 		if err != nil {
-			t.Fatalf("goroutine %d: %v", w, err)
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for w := range errs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for rep := 0; rep < 20; rep++ {
+					got, err := b.TimeAll(lats)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						errs[w] = errMismatch
+						return
+					}
+					for j, m := range b.ParallelTimeAll(lats, nil) {
+						if m != want[j].ParallelMicros {
+							errs[w] = errMismatch
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("goroutine %d: %v", w, err)
+			}
 		}
 	}
 }

@@ -20,21 +20,14 @@ import (
 //
 // Scheduling is deterministic greedy list scheduling: gates become ready
 // when their qubit predecessors finish and start in gate-id order whenever
-// every chain they touch has a free slot.
+// every chain they touch has a free slot. It is ParallelTimeConstrainedAll
+// at the one capacity level.
 func ParallelTimeConstrained(c *circuit.Circuit, l *ti.Layout, lat Latencies, capacity int) (float64, error) {
-	if err := lat.Validate(); err != nil {
+	ts, err := ParallelTimeConstrainedAll(c, l, lat, []int{capacity})
+	if err != nil {
 		return 0, err
 	}
-	if c.NumQubits() > l.NumQubits() {
-		return 0, fmt.Errorf("perf: circuit has %d qubits but layout places only %d", c.NumQubits(), l.NumQubits())
-	}
-	if capacity <= 0 {
-		return ParallelTime(c, l, lat), nil
-	}
-	if c.NumGates() == 0 {
-		return 0, nil
-	}
-	return newConstrainedSim(c, l, lat).run(capacity)
+	return ts[0], nil
 }
 
 // ParallelTimeConstrainedAll prices the constrained model at every capacity
@@ -42,8 +35,9 @@ func ParallelTimeConstrained(c *circuit.Circuit, l *ti.Layout, lat Latencies, ca
 // dependency bookkeeping — the predecessor/successor scan and the per-gate
 // chain and latency tables — is built once and the event-driven schedule
 // replays per level over reused buffers. Entry j exactly equals
-// ParallelTimeConstrained(c, l, lat, capacities[j]): each replay is the
-// same deterministic greedy list scheduling over the same structure.
+// ParallelTimeConstrained(c, l, lat, capacities[j]): each replay resets
+// the per-run state and is the same deterministic greedy list scheduling
+// over the same structure.
 func ParallelTimeConstrainedAll(c *circuit.Circuit, l *ti.Layout, lat Latencies, capacities []int) ([]float64, error) {
 	if err := lat.Validate(); err != nil {
 		return nil, err
@@ -127,10 +121,12 @@ func newConstrainedSim(c *circuit.Circuit, l *ti.Layout, lat Latencies) *constra
 		last[i] = -1
 	}
 	for _, g := range c.Gates() {
-		seen := map[int]bool{}
-		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 && !seen[p] {
-				seen[p] = true
+		// A gate waits once on the last gate of each operand: when one gate
+		// last touched both operands, the second operand adds no
+		// predecessor.
+		pa := last[g.Qubits[0]]
+		for k, q := range g.Qubits {
+			if p := last[q]; p >= 0 && (k == 0 || p != pa) {
 				s.preds0[g.ID]++
 				s.succs[p] = append(s.succs[p], g.ID)
 			}

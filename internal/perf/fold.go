@@ -11,7 +11,8 @@ package perf
 // crosses (two concurrent transports cannot share a segment).
 //
 // Two drivers feed the fold: the materialized driver (Binding.TimeAll and
-// the other Binding methods) passes a Binding's gate arrays as one batch,
+// the other Binding methods, under the transport plan the binding's
+// backend attached, if any) passes a Binding's gate arrays as one batch,
 // and the stream driver (stream.go) classifies a circuit.Source into a
 // fixed window of operand arrays and folds one window at a time. Evaluate's
 // walk in perf.go is the reference both are tested against, bit for bit:
@@ -290,37 +291,38 @@ func (f *fold) results(lats []Latencies, oneQ, twoQ, weak, links int, label func
 	return out
 }
 
-// batch is the binding's gate arrays as one fold batch.
-func (b *Binding) batch() gateBatch {
+// foldAll is the materialized driver: one fold over the binding's gates
+// as one batch under already validated lats, with the transport model of
+// the plan the binding's backend attached, or the weak-link model when it
+// attached none. pathGates > 0 keeps critical-path bookkeeping. Release
+// the fold when done.
+func (b *Binding) foldAll(lats []Latencies, pathGates int) *fold {
 	g := gateBatch{qa: b.ev.qa, qb: b.ev.qb, class: b.classes}
+	var costs *TransportCosts
+	numSegs := 0
 	if tp := b.transport; tp != nil {
 		g.segStart, g.segIDs = tp.segStart, tp.segIDs
+		costs, numSegs = &tp.costs, tp.numSegs
 	}
-	return g
+	f := newFold(lats, b.ev.c.NumQubits(), costs, numSegs, pathGates)
+	f.run(g)
+	return f
 }
 
-// price is the materialized driver: one fold over the binding's gates
-// under already validated lats, with critical paths. costs selects
-// transport, which needs the plan AttachTransport attached.
-func (b *Binding) price(lats []Latencies, costs *TransportCosts) []Result {
+// price folds the binding's gates with critical paths.
+func (b *Binding) price(lats []Latencies) []Result {
 	e := b.ev
-	numSegs := 0
-	if costs != nil {
-		numSegs = b.transport.numSegs
-	}
-	f := newFold(lats, e.c.NumQubits(), costs, numSegs, e.n)
-	f.run(b.batch())
+	f := b.foldAll(lats, e.n)
 	e.ensureLabels()
 	res := f.results(lats, e.oneQGates, e.twoQGates, b.weak, b.links, e.label)
 	f.release()
 	return res
 }
 
-// makespans is the materialized driver for callers that read only the
+// makespans folds the binding's gates for callers that read only the
 // makespan: dst[j] becomes lane j's parallel time under lats[j].
 func (b *Binding) makespans(lats []Latencies, dst []float64) {
-	f := newFold(lats, b.ev.c.NumQubits(), nil, 0, 0)
-	f.run(b.batch())
+	f := b.foldAll(lats, 0)
 	copy(dst, f.total)
 	f.release()
 }

@@ -78,46 +78,32 @@ func TestEvaluatorLabelsMatchCircuit(t *testing.T) {
 }
 
 // TestRecycledEvaluatorRelabels moves a pooled evaluator between two
-// circuits, through both scratch constructors, and checks that each reuse
-// labels the circuit it was rebuilt for. sync.Pool may drop an item, so
-// the round trip repeats until a reuse is seen.
+// circuits the way the explorer's batched trials do —
+// NewEvaluatorScratch(c).Bind(l), then RecycleEvaluator(b.Evaluator()) —
+// and checks that each reuse labels the circuit it was rebuilt for.
+// sync.Pool may drop an item, so the round trip repeats until a reuse is
+// seen.
 func TestRecycledEvaluatorRelabels(t *testing.T) {
 	a, b, l := labelFixture(t)
 	circuits := []*circuit.Circuit{a, b}
-	reusedScratch, reusedBind := false, false
+	reused := false
 	for i := 0; i < 16; i++ {
-		prev := perf.NewEvaluatorScratch(circuits[i%2])
-		bd, err := prev.Bind(l)
+		prev, err := perf.NewEvaluatorScratch(circuits[i%2]).Bind(l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPathLabels(t, "before recycle", bd, l)
-		perf.RecycleEvaluator(prev)
-		next := perf.NewEvaluatorScratch(circuits[(i+1)%2])
-		reusedScratch = reusedScratch || next == prev
-		bd, err = next.Bind(l)
+		checkPathLabels(t, "before recycle", prev, l)
+		perf.RecycleEvaluator(prev.Evaluator())
+		next, err := perf.NewEvaluatorScratch(circuits[(i+1)%2]).Bind(l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPathLabels(t, "NewEvaluatorScratch", bd, l)
-		perf.RecycleEvaluator(next)
-
-		sb, err := perf.BindCircuitScratch(circuits[i%2], l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkPathLabels(t, "BindCircuitScratch before recycle", sb, l)
-		perf.RecycleEvaluator(sb.Evaluator())
-		nb, err := perf.BindCircuitScratch(circuits[(i+1)%2], l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reusedBind = reusedBind || nb.Evaluator() == sb.Evaluator()
-		checkPathLabels(t, "BindCircuitScratch", nb, l)
-		perf.RecycleEvaluator(nb.Evaluator())
+		reused = reused || next.Evaluator() == prev.Evaluator()
+		checkPathLabels(t, "after recycle", next, l)
+		perf.RecycleEvaluator(next.Evaluator())
 	}
-	if !reusedScratch || !reusedBind {
-		t.Fatalf("no evaluator was reused (NewEvaluatorScratch %v, BindCircuitScratch %v)", reusedScratch, reusedBind)
+	if !reused {
+		t.Fatal("no evaluator was reused")
 	}
 }
 

@@ -127,10 +127,10 @@ func TestDriversMatchReference(t *testing.T) {
 		// Zero-cost transport is the weak-link model at α = 1, whatever α
 		// the lanes carry.
 		wantLocal := reference(t, oc, alphaOne(oc.lats))
-		if err := b.AttachTransport(oc.l); err != nil {
+		if err := b.AttachTransport(oc.l, perf.TransportCosts{}); err != nil {
 			t.Fatal(err)
 		}
-		gotT, err := b.TimeTransportAll(perf.TransportCosts{}, oc.lats)
+		gotT, err := b.TimeAll(oc.lats)
 		if err != nil {
 			t.Fatal(err)
 		}

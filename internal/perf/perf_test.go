@@ -476,41 +476,6 @@ func TestCriticalPathOrderingAndMembership(t *testing.T) {
 	}
 }
 
-// TestChainUtilization pins per-chain utilization — busy time over the
-// parallel execution window, a weak-link gate counting on both chains —
-// on the paper's Figure 3, through Timeline.Utilization.
-func TestChainUtilization(t *testing.T) {
-	c, l := fig3(t)
-	lat := DefaultLatencies()
-	tl, err := BuildTimeline(c, l, lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	util := tl.Utilization()
-	if len(util) != 2 {
-		t.Fatalf("util length = %d", len(util))
-	}
-	// Chain 0 runs gates q1q2, q3q4, q2q3, q4q5 → 100+100+100+200 = 500µs
-	// busy over a 400µs window, clamped to 1.0.
-	if util[0] != 1.0 {
-		t.Errorf("chain0 utilization = %v, want 1.0 (clamped)", util[0])
-	}
-	// Chain 1 runs q6q7, q4q5, q5q6 → 100+200+100 = 400 over 400 = 1.0.
-	if math.Abs(util[1]-1.0) > 1e-9 {
-		t.Errorf("chain1 utilization = %v, want 1.0", util[1])
-	}
-	// Empty circuit → all zero.
-	empty, err := BuildTimeline(circuit.New("e", 7), l, lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range empty.Utilization() {
-		if u != 0 {
-			t.Errorf("empty circuit utilization should be 0, got %v", u)
-		}
-	}
-}
-
 func TestAlphaOneRemovesWeakPenalty(t *testing.T) {
 	c, l := fig3(t)
 	lat := Latencies{OneQubit: 1, TwoQubit: 100, WeakPenalty: 1}

@@ -1,14 +1,16 @@
 package perf
 
 // This file prices gate STREAMS: the memory-bounded counterpart of
-// binding.go's TimeAll and transport.go's TimeTransportAll. The fold
-// (fold.go) reads a gate's predecessors only through the per-qubit
-// frontier — one finish time per (qubit, lane) — so the stream driver
-// keeps nothing of a gate once its window is folded, and peak memory is
-// O(qubits·lanes + window), independent of gate count.
+// Binding.TimeAll on a weak-link binding and on a transport-prepared one
+// (binding.go, transport.go). The fold (fold.go) reads a gate's
+// predecessors only through the per-qubit frontier — one finish time per
+// (qubit, lane) — so the stream driver keeps nothing of a gate once its
+// window is folded, and peak memory is O(qubits·lanes + window),
+// independent of gate count.
 //
-// Bit-exactness contract: StreamTimeAll equals Binding.TimeAll and
-// StreamTransportAll equals Binding.TimeTransportAll field for field —
+// Bit-exactness contract: StreamTimeAll equals Binding.TimeAll on an
+// unprepared binding, and StreamTransportAll(costs) equals Binding.TimeAll
+// on a binding prepared by AttachTransport(l, costs), field for field —
 // same serial accumulation order, same strict-> maximum tracking, same
 // weak-link counting rules — EXCEPT that CriticalPath is omitted
 // (reconstructing it needs the Θ(gates) predecessor chain the streaming
@@ -126,9 +128,9 @@ func StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result
 
 // StreamTransportAll prices a gate stream under every timing model in lats
 // with the shuttle transport model, in O(qubits·lanes + segments·lanes +
-// window) memory. Entry j equals Binding.TimeTransportAll(costs, lats)[j]
-// on the materialized circuit, bit for bit, except that CriticalPath is
-// omitted.
+// window) memory. Entry j equals Binding.TimeAll(lats)[j] on the
+// materialized circuit's binding after AttachTransport(l, costs), bit for
+// bit, except that CriticalPath is omitted.
 func StreamTransportAll(src circuit.Source, l *ti.Layout, costs TransportCosts, lats []Latencies) ([]Result, StreamStats, error) {
 	if err := streamChecks(src, l, lats); err != nil {
 		return nil, StreamStats{}, err

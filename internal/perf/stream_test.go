@@ -136,12 +136,12 @@ func checkStream(t *testing.T, tag string, p circuit.Program, l *ti.Layout, lats
 	checkStreamStats(t, tag, st, c)
 
 	costs := TransportCosts{SplitMicros: 80, MovePerHopMicros: 12.5, MergeMicros: 80, RecoolMicros: 360}
-	if err := b.AttachTransport(l); err != nil {
+	if err := b.AttachTransport(l, costs); err != nil {
 		t.Fatalf("%s: AttachTransport: %v", tag, err)
 	}
-	wantT, err := b.TimeTransportAll(costs, lats)
+	wantT, err := b.TimeAll(lats)
 	if err != nil {
-		t.Fatalf("%s: TimeTransportAll: %v", tag, err)
+		t.Fatalf("%s: TimeAll under transport: %v", tag, err)
 	}
 	gotT, stT, err := streamAt(p.Source(), l, &costs, lats, window)
 	if err != nil {

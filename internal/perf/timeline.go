@@ -203,24 +203,3 @@ func (t *Timeline) TraceJSON() ([]byte, error) {
 	}
 	return json.Marshal(events)
 }
-
-// Utilization returns the busy fraction of each chain over the makespan,
-// counting weak-link gates against both chains.
-func (t *Timeline) Utilization() []float64 {
-	util := make([]float64, t.NumChains)
-	if t.Makespan == 0 {
-		return util
-	}
-	for _, iv := range t.Intervals {
-		for _, ch := range iv.Chains {
-			util[ch] += iv.Finish - iv.Start
-		}
-	}
-	for i := range util {
-		util[i] /= t.Makespan
-		if util[i] > 1 {
-			util[i] = 1
-		}
-	}
-	return util
-}

@@ -159,26 +159,6 @@ func TestTimelineGantt(t *testing.T) {
 	}
 }
 
-func TestTimelineUtilization(t *testing.T) {
-	c, l := fig3(t)
-	tl, _ := BuildTimeline(c, l, DefaultLatencies())
-	util := tl.Utilization()
-	if len(util) != 2 {
-		t.Fatalf("util = %v", util)
-	}
-	for ch, u := range util {
-		if u <= 0 || u > 1 {
-			t.Errorf("chain %d utilization %v out of (0,1]", ch, u)
-		}
-	}
-	empty := &Timeline{NumChains: 2}
-	for _, u := range empty.Utilization() {
-		if u != 0 {
-			t.Errorf("empty timeline utilization should be 0")
-		}
-	}
-}
-
 func TestTimelineValidation(t *testing.T) {
 	c, l := fig3(t)
 	if _, err := BuildTimeline(c, l, Latencies{WeakPenalty: 0}); err == nil {

@@ -6,9 +6,11 @@ package perf
 // of its chain, move it one weak-link segment per hop toward the target
 // chain, merge, recool, and only then run the 2-qubit gate at the local
 // γ. The per-gate paths are layout-dependent but latency-independent, so
-// they are attached to the Binding once (AttachTransport, the backend's
-// Prepare hook); TimeTransport/TimeTransportAll then price any number of
-// timing models against the attached plan in one fold (fold.go).
+// they are attached to the Binding once, together with the transport
+// costs (AttachTransport, the backend's Prepare hook). From then on the
+// binding prices itself under transport: Time, TimeAll, ParallelTime and
+// ParallelTimeAll price any number of timing models against the attached
+// plan in one fold (fold.go).
 //
 // Contention: two concurrent transports cannot occupy one inter-chain
 // segment, so the fold serializes them — each segment tracks a per-lane
@@ -20,8 +22,6 @@ package perf
 // the property tests pin).
 
 import (
-	"fmt"
-
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
@@ -60,29 +60,35 @@ func (c TransportCosts) Validate() error {
 
 // transportPlan is the layout-dependent, latency-independent transport
 // annotation of one binding: for each gate, the weak-link segments its
-// cross-chain transport crosses, as CSR rows over segIDs. Local gates
-// have empty rows.
+// cross-chain transport crosses, as CSR rows over segIDs, and the costs
+// every transport is priced at. Local gates have empty rows.
 type transportPlan struct {
 	segStart []int32 // CSR offsets into segIDs, len = NumGates()+1
 	segIDs   []int32 // weak-link IDs along each weak gate's path
 	numSegs  int     // device segment count; sizes the busy table
+	costs    TransportCosts
 }
 
-// AttachTransport computes and attaches the transport plan for the
-// layout the binding was built from. It is the shuttle backend's Prepare
-// hook: it must run before the binding is published to caches or shared
-// across goroutines, and it is idempotent (a second call is a no-op).
-// Each weak gate's path is the deterministic shortest weak-link path
-// between its operands' chains (ti.Device.PathLinks), looked up once per
-// unordered chain pair. A weak gate whose operand chains are
-// disconnected is an impossible circuit for this device and surfaces as
-// a typed input error — never as a fabricated finite cost.
-func (b *Binding) AttachTransport(l *ti.Layout) error {
+// AttachTransport validates costs, computes the transport plan for the
+// layout the binding was built from and attaches both, so every later
+// pricing call prices the binding under transport at these costs. It is
+// the shuttle backend's Prepare hook: it must run before the binding is
+// published to caches or shared across goroutines, and it is idempotent
+// (a second call is a no-op; the first call's costs stay). Each weak
+// gate's path is the deterministic shortest weak-link path between its
+// operands' chains (ti.Device.PathLinks), looked up once per unordered
+// chain pair. A weak gate whose operand chains are disconnected is an
+// impossible circuit for this device and surfaces as a typed input error
+// — never as a fabricated finite cost.
+func (b *Binding) AttachTransport(l *ti.Layout, costs TransportCosts) error {
 	if b.transport != nil {
 		return nil
 	}
+	if err := costs.Validate(); err != nil {
+		return err
+	}
 	e := b.ev
-	tp := &transportPlan{segStart: make([]int32, e.n+1), numSegs: l.Device().MaxWeakLinks()}
+	tp := &transportPlan{segStart: make([]int32, e.n+1), numSegs: l.Device().MaxWeakLinks(), costs: costs}
 	if b.weak == 0 {
 		b.transport = tp
 		return nil
@@ -141,41 +147,4 @@ func (pc *pathCache) segments(qa, qb int) ([]int32, error) {
 	}
 	pc.paths[lo*pc.nc+hi] = p
 	return p, nil
-}
-
-// TimeTransport prices the binding under one timing model with the
-// shuttle transport model. It equals TimeTransportAll(costs,
-// []Latencies{lat})[0] exactly.
-func (b *Binding) TimeTransport(costs TransportCosts, lat Latencies) (Result, error) {
-	res, err := b.TimeTransportAll(costs, []Latencies{lat})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
-}
-
-// TimeTransportAll prices the binding under every timing model in lats
-// with the shuttle transport model, in one fold over the gate list. Per
-// gate, a weak gate first pays its transport overhead (split + hops·move
-// + merge + recool, serialized against every other transport crossing a
-// shared segment) and then runs at the LOCAL 2-qubit latency γ — the weak
-// penalty α never appears; transport replaces it. Lane j of the result
-// equals TimeTransport(costs, lats[j]) bit for bit at any lane count.
-// SerialMicros is the Eq. 1 serial bound at α = 1 plus the total transport
-// overhead; SerialPerGateMicros likewise accumulates overhead plus gate
-// latency in gate order. AttachTransport must have run first.
-func (b *Binding) TimeTransportAll(costs TransportCosts, lats []Latencies) ([]Result, error) {
-	if b.transport == nil {
-		return nil, fmt.Errorf("perf: binding has no transport plan; the shuttle backend's Prepare (AttachTransport) must run at bind time")
-	}
-	if err := costs.Validate(); err != nil {
-		return nil, err
-	}
-	if len(lats) == 0 {
-		return nil, fmt.Errorf("perf: TimeTransportAll requires at least one timing model")
-	}
-	if err := validateAll(lats); err != nil {
-		return nil, err
-	}
-	return b.price(lats, &costs), nil
 }

@@ -3,7 +3,9 @@ package perf
 // Tests for the shuttle transport pricing kernel: the zero-cost
 // equivalence with the weak-link model at α = 1, the batched-lane
 // bit-exactness contract, the junction-contention hand case, and the
-// input-error boundaries (missing plan, bad costs, disconnected chains).
+// input-error boundaries (bad costs, disconnected chains). A binding
+// prices under transport once AttachTransport has run, so each cost set
+// gets its own binding.
 
 import (
 	"math"
@@ -15,13 +17,13 @@ import (
 	"velociti/internal/verr"
 )
 
-func transportBinding(t *testing.T, c *circuit.Circuit, l *ti.Layout) *Binding {
+func transportBinding(t *testing.T, c *circuit.Circuit, l *ti.Layout, costs TransportCosts) *Binding {
 	t.Helper()
 	b, err := NewEvaluator(c).Bind(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AttachTransport(l); err != nil {
+	if err := b.AttachTransport(l, costs); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -36,7 +38,11 @@ func transportBinding(t *testing.T, c *circuit.Circuit, l *ti.Layout) *Binding {
 func TestZeroCostTransportEqualsWeakLinkAlphaOne(t *testing.T) {
 	c := randCircuit(t, "zero-cost", 48, 60, 240, 11)
 	l := testLayout(t, 48, 12)
-	b := transportBinding(t, c, l)
+	b := transportBinding(t, c, l, TransportCosts{})
+	weak, err := NewEvaluator(c).Bind(l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	alphas := []float64{3.0, 2.0, 1.5, 1.0}
 	lats := make([]Latencies, len(alphas))
 	ones := make([]Latencies, len(alphas))
@@ -46,11 +52,11 @@ func TestZeroCostTransportEqualsWeakLinkAlphaOne(t *testing.T) {
 		ones[j] = lats[j]
 		ones[j].WeakPenalty = 1
 	}
-	got, err := b.TimeTransportAll(TransportCosts{}, lats)
+	got, err := b.TimeAll(lats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := b.TimeAll(ones)
+	want, err := weak.TimeAll(ones)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +67,16 @@ func TestZeroCostTransportEqualsWeakLinkAlphaOne(t *testing.T) {
 	}
 }
 
-// TestTimeTransportAllMatchesTimeTransport pins the batched contract:
-// lane j of TimeTransportAll equals the single-model TimeTransport bit
-// for bit at every lane count, including the busy-table interleaving.
-func TestTimeTransportAllMatchesTimeTransport(t *testing.T) {
+// TestTransportTimeAllMatchesTime pins the batched contract on a
+// transport-prepared binding: lane j of TimeAll equals the single-model
+// Time bit for bit at every lane count, including the busy-table
+// interleaving, and the makespan-only fold (ParallelTime and
+// ParallelTimeAll, which price the fidelity window) reads the same
+// ParallelMicros.
+func TestTransportTimeAllMatchesTime(t *testing.T) {
 	c := randCircuit(t, "lanes", 40, 30, 200, 5)
 	l := testLayout(t, 40, 8)
-	b := transportBinding(t, c, l)
-	costs := TransportCosts{SplitMicros: 80, MovePerHopMicros: 10, MergeMicros: 80, RecoolMicros: 100}
+	b := transportBinding(t, c, l, TransportCosts{SplitMicros: 80, MovePerHopMicros: 10, MergeMicros: 80, RecoolMicros: 100})
 	alphas := []float64{2.0, 1.6, 1.2, 1.0}
 	for lanes := 1; lanes <= len(alphas); lanes++ {
 		lats := make([]Latencies, lanes)
@@ -77,17 +85,23 @@ func TestTimeTransportAllMatchesTimeTransport(t *testing.T) {
 			lats[j].WeakPenalty = alphas[j]
 			lats[j].TwoQubit = 100 + 10*float64(j) // vary γ so lanes truly differ
 		}
-		all, err := b.TimeTransportAll(costs, lats)
+		all, err := b.TimeAll(lats)
 		if err != nil {
 			t.Fatal(err)
 		}
+		makespans := b.ParallelTimeAll(lats, nil)
 		for j, lat := range lats {
-			one, err := b.TimeTransport(costs, lat)
+			one, err := b.Time(lat)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(all[j], one) {
 				t.Fatalf("lanes=%d lane %d: %+v != %+v", lanes, j, all[j], one)
+			}
+			if want := all[j].ParallelMicros; math.Float64bits(makespans[j]) != math.Float64bits(want) ||
+				math.Float64bits(b.ParallelTime(lat)) != math.Float64bits(want) {
+				t.Fatalf("lanes=%d lane %d: makespan-only fold %v / %v, TimeAll %v",
+					lanes, j, makespans[j], b.ParallelTime(lat), want)
 			}
 		}
 	}
@@ -109,11 +123,10 @@ func TestTransportContentionHandCase(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	b := transportBinding(t, c, l)
-	costs := TransportCosts{SplitMicros: 50, MovePerHopMicros: 10, MergeMicros: 40, RecoolMicros: 100}
+	b := transportBinding(t, c, l, TransportCosts{SplitMicros: 50, MovePerHopMicros: 10, MergeMicros: 40, RecoolMicros: 100})
 	over := 200.0 // 50+10+40+100
 	lat := DefaultLatencies()
-	res, err := b.TimeTransport(costs, lat)
+	res, err := b.Time(lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +136,7 @@ func TestTransportContentionHandCase(t *testing.T) {
 		t.Fatalf("contended parallel = %v, want %v", res.ParallelMicros, want)
 	}
 	// With free transport the two gates overlap fully.
-	free, err := b.TimeTransport(TransportCosts{}, lat)
+	free, err := transportBinding(t, c, l, TransportCosts{}).Time(lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,23 +145,12 @@ func TestTransportContentionHandCase(t *testing.T) {
 	}
 }
 
-// TestTimeTransportRequiresPlan: pricing without Prepare is a contract
-// violation, reported as an error rather than a fabricated result.
-func TestTimeTransportRequiresPlan(t *testing.T) {
-	c := randCircuit(t, "no-plan", 16, 10, 30, 3)
-	l := testLayout(t, 16, 8)
-	b, err := NewEvaluator(c).Bind(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.TimeTransport(TransportCosts{}, DefaultLatencies()); err == nil {
-		t.Fatal("pricing without an attached transport plan should fail")
-	}
-}
-
 // TestTransportCostsValidate rejects negative and NaN costs as typed
-// input errors.
+// input errors, both directly and when AttachTransport is handed them,
+// which then leaves the binding unprepared.
 func TestTransportCostsValidate(t *testing.T) {
+	c := randCircuit(t, "bad-costs", 16, 10, 30, 3)
+	l := testLayout(t, 16, 8)
 	bad := []TransportCosts{
 		{SplitMicros: -1},
 		{MovePerHopMicros: -0.5},
@@ -163,6 +165,16 @@ func TestTransportCostsValidate(t *testing.T) {
 		}
 		if !verr.IsInput(err) {
 			t.Errorf("costs %d: error should be input-kind, got %v", i, err)
+		}
+		b, err := NewEvaluator(c).Bind(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AttachTransport(l, costs); err == nil || !verr.IsInput(err) {
+			t.Errorf("costs %d: AttachTransport error = %v, want input-kind", i, err)
+		}
+		if b.transport != nil {
+			t.Errorf("costs %d: a rejected AttachTransport attached a plan", i)
 		}
 	}
 	if err := (TransportCosts{}).Validate(); err != nil {
@@ -192,7 +204,7 @@ func TestAttachTransportDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = b.AttachTransport(l)
+	err = b.AttachTransport(l, TransportCosts{})
 	if err == nil {
 		t.Fatal("disconnected chains should fail AttachTransport")
 	}

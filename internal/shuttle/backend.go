@@ -2,11 +2,13 @@ package shuttle
 
 // This file adapts Params into the core.Stages timing-backend seam
 // (perf.TimingBackend). The heavy lifting — per-gate transport paths,
-// junction contention, the multi-lane pricing — lives in internal/perf
-// (Binding.AttachTransport / TimeTransportAll) so that transport is priced
-// by the same fold as the weak-link model; this file only
-// carries the parameters across the boundary and names the backend for
-// flags, request schemas, and cache keys.
+// junction contention, the multi-lane pricing — lives in internal/perf so
+// that transport is priced by the same fold as the weak-link model: Prepare
+// attaches the transport plan and the costs to the binding
+// (Binding.AttachTransport), and the binding's own Time/TimeAll then price
+// under transport. This file only carries the parameters across the
+// boundary and names the backend for flags, request schemas, and cache
+// keys.
 
 import (
 	"strconv"
@@ -44,21 +46,13 @@ func (b Backend) CacheKey() string {
 // Validate rejects unusable transport costs with a typed input error.
 func (b Backend) Validate() error { return b.Params.Validate() }
 
-// Prepare attaches the per-gate transport plan to the binding
-// (perf.Binding.AttachTransport): deterministic shortest weak-link paths
-// per operand chain pair, with disconnected pairs surfaced as typed
-// input errors at bind time rather than priced with a fabricated cost.
-func (Backend) Prepare(bd *perf.Binding, l *ti.Layout) error { return bd.AttachTransport(l) }
-
-// Time prices the binding under one timing model.
-func (b Backend) Time(bd *perf.Binding, lat perf.Latencies) (perf.Result, error) {
-	return bd.TimeTransport(b.costs(), lat)
-}
-
-// TimeAll prices the binding under every timing model in one pass; entry
-// j equals Time(lats[j]) bit for bit.
-func (b Backend) TimeAll(bd *perf.Binding, lats []perf.Latencies) ([]perf.Result, error) {
-	return bd.TimeTransportAll(b.costs(), lats)
+// Prepare attaches the per-gate transport plan and the backend's costs to
+// the binding (perf.Binding.AttachTransport), so the binding prices itself
+// under transport from then on: deterministic shortest weak-link paths per
+// operand chain pair, with disconnected pairs surfaced as typed input
+// errors at bind time rather than priced with a fabricated cost.
+func (b Backend) Prepare(bd *perf.Binding, l *ti.Layout) error {
+	return bd.AttachTransport(l, b.costs())
 }
 
 // DeltaWeights implements perf.DeltaWeigher, enabling incremental
@@ -69,7 +63,7 @@ func (b Backend) TimeAll(bd *perf.Binding, lats []perf.Latencies) ([]perf.Result
 // queue on a shared segment. Junction contention is sequence-dependent
 // and cannot be carried by a static per-gate latency, so the annealer
 // searches on this surrogate; reported results are always re-priced by
-// Time.
+// the prepared binding's Time.
 func (b Backend) DeltaWeights(lat perf.Latencies) ([perf.NumGateClasses]float64, float64, error) {
 	if err := lat.Validate(); err != nil {
 		return [perf.NumGateClasses]float64{}, 0, err

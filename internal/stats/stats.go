@@ -14,8 +14,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"velociti/internal/verr"
 )
 
 // Summary holds the aggregate statistics of a sample of observations.
@@ -197,31 +195,7 @@ func SplitSeed(master int64, i int) int64 {
 	return int64(x)
 }
 
-// MeanOf applies f to each element of xs and returns the mean of the
-// results. It is a convenience for aggregating per-run metrics.
-func MeanOf[T any](xs []T, f func(T) float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += f(x)
-	}
-	return sum / float64(len(xs))
-}
-
 // Shuffle permutes xs in place using r.
 func Shuffle[T any](r *rand.Rand, xs []T) {
 	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
-// SampleWithoutReplacement returns k distinct values drawn uniformly from
-// [0, n). It rejects k > n and negative arguments with an input-kind
-// error.
-func SampleWithoutReplacement(r *rand.Rand, n, k int) ([]int, error) {
-	if k < 0 || n < 0 || k > n {
-		return nil, verr.Inputf("stats: invalid sample request k=%d n=%d", k, n)
-	}
-	perm := r.Perm(n)
-	return perm[:k], nil
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"velociti/internal/verr"
 )
 
 func almostEqual(a, b, eps float64) bool {
@@ -150,41 +148,6 @@ func TestSplitSeedDistinct(t *testing.T) {
 	}
 	if SplitSeed(1, 0) == SplitSeed(2, 0) {
 		t.Fatalf("different masters should give different run seeds")
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	type obs struct{ v float64 }
-	xs := []obs{{1}, {2}, {3}}
-	if got := MeanOf(xs, func(o obs) float64 { return o.v }); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("MeanOf = %v, want 2", got)
-	}
-	if MeanOf(nil, func(o obs) float64 { return o.v }) != 0 {
-		t.Errorf("MeanOf(nil) should be 0")
-	}
-}
-
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := NewRand(1)
-	got, err := SampleWithoutReplacement(r, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("want 5 samples, got %d", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 10 {
-			t.Fatalf("sample %d out of range", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate sample %d", v)
-		}
-		seen[v] = true
-	}
-	if _, err := SampleWithoutReplacement(r, 3, 4); !verr.IsInput(err) {
-		t.Fatalf("k > n should be an input-kind error, got %v", err)
 	}
 }
 

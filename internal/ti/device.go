@@ -228,27 +228,6 @@ func (d *Device) MaxWeakLinks() int { return len(d.links) }
 // callers must not modify it.
 func (d *Device) WeakLinks() []WeakLink { return d.links }
 
-// LinksOf returns the weak links that have an endpoint on the given chain.
-func (d *Device) LinksOf(chain int) []WeakLink {
-	var out []WeakLink
-	for _, l := range d.links {
-		if l.A.Chain == chain || l.B.Chain == chain {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// ChainsAdjacent reports whether a weak link directly joins chains a and b.
-func (d *Device) ChainsAdjacent(a, b int) bool {
-	for _, l := range d.links {
-		if (l.A.Chain == a && l.B.Chain == b) || (l.A.Chain == b && l.B.Chain == a) {
-			return true
-		}
-	}
-	return false
-}
-
 // ChainDistance returns the minimum number of weak links that must be
 // traversed to move between chains a and b (0 when a == b). It returns -1
 // if the chains are disconnected (cannot happen for Ring/Line devices but

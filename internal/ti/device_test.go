@@ -107,39 +107,6 @@ func TestLinkPortsWellFormed(t *testing.T) {
 	}
 }
 
-func TestLinksOf(t *testing.T) {
-	d, _ := NewDevice(8, 4, Ring)
-	for c := 0; c < 4; c++ {
-		if got := len(d.LinksOf(c)); got != 2 {
-			t.Errorf("ring chain %d has %d links, want 2", c, got)
-		}
-	}
-	dl, _ := NewDevice(8, 4, Line)
-	if got := len(dl.LinksOf(0)); got != 1 {
-		t.Errorf("line end chain has %d links, want 1", got)
-	}
-	if got := len(dl.LinksOf(1)); got != 2 {
-		t.Errorf("line middle chain has %d links, want 2", got)
-	}
-}
-
-func TestChainsAdjacent(t *testing.T) {
-	d, _ := NewDevice(8, 5, Ring)
-	if !d.ChainsAdjacent(0, 1) || !d.ChainsAdjacent(1, 0) {
-		t.Errorf("successive chains should be adjacent both ways")
-	}
-	if !d.ChainsAdjacent(4, 0) {
-		t.Errorf("ring wraparound chains should be adjacent")
-	}
-	if d.ChainsAdjacent(0, 2) {
-		t.Errorf("non-neighbouring chains should not be adjacent")
-	}
-	dl, _ := NewDevice(8, 5, Line)
-	if dl.ChainsAdjacent(4, 0) {
-		t.Errorf("line has no wraparound adjacency")
-	}
-}
-
 func TestChainDistance(t *testing.T) {
 	ring, _ := NewDevice(8, 6, Ring)
 	cases := []struct{ a, b, want int }{

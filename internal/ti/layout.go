@@ -115,13 +115,6 @@ func (l *Layout) EdgeQubit(c int, s Side) (int, bool) {
 	return qs[len(qs)-1], true
 }
 
-// IsEdge reports whether qubit q sits at either end of its chain.
-func (l *Layout) IsEdge(q int) bool {
-	l.check(q)
-	qs := l.chains[l.chainOf[q]]
-	return l.slotOf[q] == 0 || l.slotOf[q] == len(qs)-1
-}
-
 // LinkQubits returns the pair of qubits sitting at the two ports of weak
 // link wl, and false if either port's chain is empty.
 func (l *Layout) LinkQubits(wl WeakLink) (a, b int, ok bool) {
