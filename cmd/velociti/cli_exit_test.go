@@ -117,6 +117,7 @@ func TestMalformedInputExitStatus(t *testing.T) {
 		{"qasm out-of-range qubit", []string{"-qasm", badQASM}, "qasm"},
 		{"qasm deep expression", []string{"-qasm", deepQASM}, "parameter expression longer than"},
 		{"qasm expansion budget", []string{"-qasm", doublingQASM}, `line 33: gate "g30" would expand the program past`},
+		{"gantt under shuttle", []string{"-app", "QFT", "-runs", "1", "-backend", "shuttle", "-gantt"}, "drop -backend shuttle"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

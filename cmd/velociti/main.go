@@ -131,6 +131,11 @@ func run(args []string, out io.Writer) error {
 		// streaming avoids holding.
 		return verr.Inputf("-stream cannot produce per-trial inspection output; drop -verbose/-dot/-gantt/-timeline-json/-fidelity/-shuttle or drop -stream")
 	}
+	if params.Backend == (shuttle.Backend{}).Name() && (*dotPath != "" || *gantt || *timelineJS != "") {
+		// The schedule and graph views draw the weak-link model; under
+		// transport they would contradict the report they accompany.
+		return verr.Inputf("-dot/-gantt/-timeline-json draw the weak-link schedule; drop them or drop -backend shuttle")
+	}
 	params.Stream = *streamF
 
 	var explicit *circuit.Circuit
@@ -212,10 +217,11 @@ func run(args []string, out io.Writer) error {
 	printReport(out, report)
 
 	if *verbose || *dotPath != "" || *gantt || *fidelityF || *shuttleF || *timelineJS != "" {
-		c, layout, res, err := core.RunOnce(cfg, stats.SplitSeed(cfg.Seed, 0))
+		b, res, err := core.RunOnce(cfg, stats.SplitSeed(cfg.Seed, 0))
 		if err != nil {
 			return err
 		}
+		c, layout := b.Evaluator().Circuit(), b.Layout()
 		if *verbose {
 			fmt.Fprintf(out, "\n--- trial 0 detail ---\n")
 			fmt.Fprint(out, layout.String())
@@ -245,7 +251,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		if *fidelityF {
-			est, err := fidelity.Default().Estimate(c, layout, cfg.Latencies)
+			est, err := fidelity.Default().EstimateBinding(b, cfg.Latencies)
 			if err != nil {
 				return err
 			}

@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"velociti/internal/core"
+	"velociti/internal/fidelity"
+	"velociti/internal/verr"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -203,5 +207,52 @@ func TestBackendFlagShuttle(t *testing.T) {
 	}
 	if err := runCLIErr(t, append([]string{"-backend", "bogus"}, base...)...); err == nil {
 		t.Fatalf("unknown backend should error")
+	}
+}
+
+// TestFidelityFollowsBackend: -fidelity dephases every qubit over trial
+// 0's makespan under the selected backend, so under -backend shuttle the
+// coherence term follows the transport makespan, not the weak-link one.
+func TestFidelityFollowsBackend(t *testing.T) {
+	t2 := fidelity.Default().T2Micros
+	coherence := map[string]string{}
+	for _, backend := range []string{"weaklink", "shuttle"} {
+		args := []string{"-app", "QFT", "-runs", "3", "-backend", backend}
+		var rep core.Report
+		if err := json.Unmarshal([]byte(runCLI(t, append(args, "-json")...)), &rep); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("coherence %.3g;", math.Exp(-float64(rep.Spec.Qubits)*rep.Trials[0].Perf.ParallelMicros/t2))
+		if out := runCLI(t, append(args, "-fidelity")...); !strings.Contains(out, want) {
+			t.Errorf("%s: fidelity line lacks %q:\n%s", backend, want, out)
+		}
+		coherence[backend] = want
+	}
+	if coherence["weaklink"] == coherence["shuttle"] {
+		t.Errorf("both backends dephase alike: %s", coherence["shuttle"])
+	}
+}
+
+// TestScheduleViewsRejectShuttle: -dot, -gantt and -timeline-json draw the
+// weak-link schedule and graph, so under the shuttle backend, selected by
+// flag or by a config file, they are an input error, as under -stream.
+func TestScheduleViewsRejectShuttle(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "shuttle.json")
+	runCLI(t, "-qubits", "16", "-two-qubit-gates", "20", "-chain-length", "8", "-runs", "2",
+		"-backend", "shuttle", "-save-config", cfg)
+	views := [][]string{{"-dot", filepath.Join(dir, "g.dot")}, {"-gantt"}, {"-timeline-json", filepath.Join(dir, "tl.json")}}
+	for _, view := range views {
+		for _, args := range [][]string{
+			append([]string{"-qubits", "16", "-two-qubit-gates", "20", "-chain-length", "8", "-runs", "2", "-backend", "shuttle"}, view...),
+			append([]string{"-config", cfg}, view...),
+		} {
+			if err := runCLIErr(t, args...); err == nil || !verr.IsInput(err) {
+				t.Errorf("%v: err = %v, want an input error", args, err)
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "g.dot")); err == nil {
+		t.Error("a rejected -dot still wrote its file")
 	}
 }

@@ -292,24 +292,26 @@ func buildReport(spec circuit.Spec, device *ti.Device, trials []TrialResult) *Re
 }
 
 // RunOnce executes a single trial with an explicit seed, returning the
-// placed circuit and layout alongside the evaluation — the building block
-// for detailed inspection (critical paths, DOT dumps, timelines). It is
-// trial i of Run when seed is stats.SplitSeed(cfg.Seed, i).
-func RunOnce(cfg Config, seed int64) (*circuit.Circuit, *ti.Layout, perf.Result, error) {
+// trial's prepared binding alongside its evaluation — the building block
+// for detailed inspection (critical paths, DOT dumps, timelines, fidelity).
+// The binding carries the placed circuit (Evaluator().Circuit()) and
+// layout (Layout()), and prices itself under cfg's backend. It is trial i
+// of Run when seed is stats.SplitSeed(cfg.Seed, i).
+func RunOnce(cfg Config, seed int64) (*perf.Binding, perf.Result, error) {
 	st, err := NewStages(cfg)
 	if err != nil {
-		return nil, nil, perf.Result{}, err
+		return nil, perf.Result{}, err
 	}
 	if st.cfg.Stream {
-		return nil, nil, perf.Result{}, verr.Inputf("core: RunOnce inspects materialized artifacts (circuit, critical path); disable Stream")
+		return nil, perf.Result{}, verr.Inputf("core: RunOnce inspects materialized artifacts (circuit, critical path); disable Stream")
 	}
 	b, err := st.Bind(seed)
 	if err != nil {
-		return nil, nil, perf.Result{}, err
+		return nil, perf.Result{}, err
 	}
 	res, err := b.Time(st.cfg.Latencies)
 	if err != nil {
-		return nil, nil, perf.Result{}, err
+		return nil, perf.Result{}, err
 	}
-	return b.Evaluator().Circuit(), b.Layout(), res, nil
+	return b, res, nil
 }

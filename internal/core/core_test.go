@@ -206,10 +206,11 @@ func TestExplicitModeChargesCrossChainGates(t *testing.T) {
 
 func TestRunOnceInspectables(t *testing.T) {
 	cfg := baseConfig()
-	c, layout, res, err := RunOnce(cfg, 99)
+	b, res, err := RunOnce(cfg, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, layout := b.Evaluator().Circuit(), b.Layout()
 	if c.NumTwoQubitGates() != 200 {
 		t.Fatalf("placed circuit 2q gates = %d", c.NumTwoQubitGates())
 	}
@@ -228,7 +229,7 @@ func TestRunOnceInspectables(t *testing.T) {
 }
 
 func TestRunOnceValidates(t *testing.T) {
-	if _, _, _, err := RunOnce(Config{}, 1); err == nil {
+	if _, _, err := RunOnce(Config{}, 1); err == nil {
 		t.Fatalf("empty config should fail")
 	}
 }

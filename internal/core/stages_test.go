@@ -340,7 +340,7 @@ func TestNewStagesMaterializesProgram(t *testing.T) {
 // non-streaming Program, a layout-searching placer, and the shuttle
 // backend — with and without a shared pipeline: the result equals
 // Run(cfg).Trials[i].Perf, critical path included, and the returned
-// circuit and layout are the ones that trial bound.
+// binding carries the circuit and layout that trial bound.
 func TestRunOnceIsTrialOfRun(t *testing.T) {
 	qft, err := apps.QFT(12)
 	if err != nil {
@@ -372,10 +372,11 @@ func TestRunOnceIsTrialOfRun(t *testing.T) {
 			}
 			for i, tr := range rep.Trials {
 				seed := stats.SplitSeed(cfg.Seed, i)
-				c, l, res, err := core.RunOnce(cfg, seed)
+				ob, res, err := core.RunOnce(cfg, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
+				c, l := ob.Evaluator().Circuit(), ob.Layout()
 				if !reflect.DeepEqual(res, tr.Perf) {
 					t.Fatalf("%s cached=%v trial %d: RunOnce = %+v, Run = %+v", name, pl != nil, i, res, tr.Perf)
 				}
@@ -387,7 +388,7 @@ func TestRunOnceIsTrialOfRun(t *testing.T) {
 					t.Fatalf("%s cached=%v trial %d: RunOnce artifacts differ from the trial's binding", name, pl != nil, i)
 				}
 				// A shared pipeline hands RunOnce the very binding Run cached.
-				if pl != nil && (c != b.Evaluator().Circuit() || l != b.Layout()) {
+				if pl != nil && ob != b {
 					t.Fatalf("%s trial %d: RunOnce missed the cached binding", name, i)
 				}
 			}

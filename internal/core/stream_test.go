@@ -316,7 +316,7 @@ func TestStreamValidateRejects(t *testing.T) {
 
 	cfg := base
 	cfg.Stream = true
-	if _, _, _, err := core.RunOnce(cfg, 7); err == nil || !verr.IsInput(err) {
+	if _, _, err := core.RunOnce(cfg, 7); err == nil || !verr.IsInput(err) {
 		t.Fatalf("RunOnce with Stream: err = %v, want input-kind rejection", err)
 	}
 }

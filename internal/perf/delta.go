@@ -19,8 +19,12 @@ package perf
 // shuttle backend it is the contention-free transport cost (split +
 // per-hop move + merge + recool + local γ): junction contention is a
 // sequence-dependent quantity no static per-gate latency can carry, so
-// the delta objective is a search surrogate there — final reported results
-// are always re-priced by the full backend at the Bind/Time seam.
+// the delta objective is a search surrogate there, and a trial's reported
+// results are re-priced by the prepared binding at the Bind/Time seam. The
+// surrogate is also a model in its own right: shuttle.Compare reports a
+// fresh DeltaEval's Cost and LatencySum as its contention-free shuttle
+// makespan and serial time, so the contention-free transport model is
+// written once, here.
 //
 // Stale gates sit in a bitset and Cost visits them in ascending id, so a
 // refresh costs one scan of the marked word range plus the gates it

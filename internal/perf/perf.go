@@ -263,24 +263,6 @@ func ParallelTime(c *circuit.Circuit, l *ti.Layout, lat Latencies) float64 {
 	return walk(c, lat.under(l)).makespan
 }
 
-// ParallelTimeFunc evaluates the parallel model under an arbitrary
-// per-gate latency function instead of the standard Latencies — the hook
-// alternative communication substrates (e.g. internal/shuttle's ion
-// transport) plug their cost models into.
-func ParallelTimeFunc(c *circuit.Circuit, latencyOf func(circuit.Gate) float64) float64 {
-	return walk(c, latencyOf).makespan
-}
-
-// SerialTimeFunc sums an arbitrary per-gate latency function — the
-// back-to-back baseline for alternative communication substrates.
-func SerialTimeFunc(c *circuit.Circuit, latencyOf func(circuit.Gate) float64) float64 {
-	var total float64
-	for _, g := range c.Gates() {
-		total += latencyOf(g)
-	}
-	return total
-}
-
 // Result bundles the outcome of evaluating both models on one placed
 // circuit.
 type Result struct {

@@ -19,43 +19,73 @@ package perf
 // merge+recool completes. Reservation is skipped entirely when a gate's
 // transport overhead is zero, which is what makes the zero-cost shuttle
 // backend bit-identical to the weak-link model at α = 1 (the equivalence
-// the property tests pin).
+// the property tests pin). The contention-free form of the same model —
+// no transport ever waits on a segment — is the shuttle backend's delta
+// weights (delta.go), which shuttle.Compare reports directly.
 
 import (
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
 
-// TransportCosts prices the shuttle primitives, in microseconds. It is
-// internal/shuttle's Params re-expressed at the kernel boundary so perf
-// does not import the shuttle package.
+// TransportCosts prices the shuttle primitives, in microseconds. It is the
+// model's one cost type: internal/shuttle names it Params.
 type TransportCosts struct {
-	// SplitMicros splits the ion out of its source chain.
-	SplitMicros float64
-	// MovePerHopMicros moves the ion across one weak-link segment.
-	MovePerHopMicros float64
-	// MergeMicros merges the ion into the destination chain.
-	MergeMicros float64
-	// RecoolMicros re-cools the destination chain after the merge.
-	RecoolMicros float64
+	// SplitMicros extracts the ion from its chain.
+	SplitMicros float64 `json:"split_us"`
+	// MergeMicros inserts the ion into the destination chain.
+	MergeMicros float64 `json:"merge_us"`
+	// MovePerHopMicros transports the ion across one inter-chain segment.
+	MovePerHopMicros float64 `json:"move_per_hop_us"`
+	// RecoolMicros re-cools the destination chain after the merge;
+	// motion heats the chain and gate fidelity requires cooling first.
+	RecoolMicros float64 `json:"recool_us"`
 }
 
-// Validate rejects negative or NaN costs with a typed input error.
+// Validate reports a typed input error (verr) for negative or NaN costs.
+// Config loading, the serve layer and AttachTransport call it at the input
+// boundary, so a bad cost in a params file or request body surfaces as an
+// "invalid input" diagnostic rather than a computed garbage result.
 func (c TransportCosts) Validate() error {
 	for _, v := range [...]struct {
 		name string
 		val  float64
 	}{
 		{"split", c.SplitMicros},
-		{"move-per-hop", c.MovePerHopMicros},
 		{"merge", c.MergeMicros},
+		{"move per hop", c.MovePerHopMicros},
 		{"recool", c.RecoolMicros},
 	} {
 		if !(v.val >= 0) {
-			return verr.Inputf("perf: transport %s cost must be a non-negative number, got %v", v.name, v.val)
+			return verr.Inputf("shuttle: %s cost must be a non-negative number, got %g", v.name, v.val)
 		}
 	}
 	return nil
+}
+
+// CrossChainOverhead returns the transport time added to a 2-qubit gate
+// whose operands sit `hops` chains apart: one split, the multi-hop move,
+// one merge, and one recool. Zero hops cost nothing.
+func (c TransportCosts) CrossChainOverhead(hops int) float64 {
+	if hops <= 0 {
+		return 0
+	}
+	return c.SplitMicros + float64(hops)*c.MovePerHopMicros + c.MergeMicros + c.RecoolMicros
+}
+
+// BreakEvenAlpha returns the weak-link penalty α at which a single-hop
+// cross-chain gate costs the same under both mechanisms:
+// α·γ = overhead(1) + γ. Above this α, shuttling wins on adjacent
+// chains. The costs and latencies are validated first, so γ ≤ 0 is an
+// input error rather than a ±Inf/NaN quotient.
+func (c TransportCosts) BreakEvenAlpha(lat Latencies) (float64, error) {
+	if err := c.Validate(); err != nil {
+		return 0, err
+	}
+	if err := lat.Validate(); err != nil {
+		return 0, err
+	}
+	return (c.CrossChainOverhead(1) + lat.TwoQubit) / lat.TwoQubit, nil
 }
 
 // transportPlan is the layout-dependent, latency-independent transport

@@ -185,7 +185,7 @@ func TestTransportCostsValidate(t *testing.T) {
 // TestAttachTransportDisconnected: a weak gate across disconnected chain
 // groups has no shuttle path; AttachTransport must surface a typed input
 // error, not invent a finite cost (the regression the linear-tape work
-// fixed in Layout.Hops).
+// fixed).
 func TestAttachTransportDisconnected(t *testing.T) {
 	// Chains {0,1} linked, chain 2 isolated.
 	d, err := ti.NewDeviceLinks(4, 3, []ti.WeakLink{

@@ -6,9 +6,9 @@ package shuttle
 // that transport is priced by the same fold as the weak-link model: Prepare
 // attaches the transport plan and the costs to the binding
 // (Binding.AttachTransport), and the binding's own Time/TimeAll then price
-// under transport. This file only carries the parameters across the
-// boundary and names the backend for flags, request schemas, and cache
-// keys.
+// under transport. This file names the backend for flags, request schemas,
+// and cache keys, and states the contention-free delta weights that the
+// annealer searches on and Compare reports.
 
 import (
 	"strconv"
@@ -52,7 +52,7 @@ func (b Backend) Validate() error { return b.Params.Validate() }
 // operand chain pair, with disconnected pairs surfaced as typed input
 // errors at bind time rather than priced with a fabricated cost.
 func (b Backend) Prepare(bd *perf.Binding, l *ti.Layout) error {
-	return bd.AttachTransport(l, b.costs())
+	return bd.AttachTransport(l, b.Params)
 }
 
 // DeltaWeights implements perf.DeltaWeigher, enabling incremental
@@ -62,8 +62,8 @@ func (b Backend) Prepare(bd *perf.Binding, l *ti.Layout) error {
 // transport replaces it), which is Time's cost when no two transports
 // queue on a shared segment. Junction contention is sequence-dependent
 // and cannot be carried by a static per-gate latency, so the annealer
-// searches on this surrogate; reported results are always re-priced by
-// the prepared binding's Time.
+// searches on this surrogate and a trial's results are re-priced by the
+// prepared binding's Time; Compare reports the surrogate itself.
 func (b Backend) DeltaWeights(lat perf.Latencies) ([perf.NumGateClasses]float64, float64, error) {
 	if err := lat.Validate(); err != nil {
 		return [perf.NumGateClasses]float64{}, 0, err
@@ -78,21 +78,12 @@ func (b Backend) DeltaWeights(lat perf.Latencies) ([perf.NumGateClasses]float64,
 	return base, b.Params.MovePerHopMicros, nil
 }
 
-func (b Backend) costs() perf.TransportCosts {
-	return perf.TransportCosts{
-		SplitMicros:      b.Params.SplitMicros,
-		MovePerHopMicros: b.Params.MovePerHopMicros,
-		MergeMicros:      b.Params.MergeMicros,
-		RecoolMicros:     b.Params.RecoolMicros,
-	}
-}
-
 // StreamTimeAll prices a gate stream directly (perf.SourceTimer): the
 // transport busy-until recurrence over the per-qubit frontier, in memory
 // independent of gate count. Like perf.StreamTimeAll it classifies and
 // folds only; the returned StreamStats carries the stream's gate counts.
 func (b Backend) StreamTimeAll(src circuit.Source, l *ti.Layout, lats []perf.Latencies) ([]perf.Result, perf.StreamStats, error) {
-	return perf.StreamTransportAll(src, l, b.costs(), lats)
+	return perf.StreamTransportAll(src, l, b.Params, lats)
 }
 
 var (

@@ -2,6 +2,7 @@ package shuttle
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"velociti/internal/circuit"
@@ -55,26 +56,6 @@ func TestCrossChainOverhead(t *testing.T) {
 	}
 	if got := p.CrossChainOverhead(3); got != 220 {
 		t.Errorf("3 hops = %v, want 220", got)
-	}
-}
-
-func TestGateLatencyClasses(t *testing.T) {
-	l := layout(t, 8, 4) // 2 chains of 4
-	p := Default()
-	lat := perf.DefaultLatencies()
-	c := circuit.New("t", 8)
-	oneQ := c.H(0)
-	intra := c.CX(0, 1)
-	cross := c.CX(3, 4)
-	if got, err := p.GateLatency(c.Gate(oneQ), l, lat); err != nil || got != 1 {
-		t.Errorf("1q = %v, %v", got, err)
-	}
-	if got, err := p.GateLatency(c.Gate(intra), l, lat); err != nil || got != 100 {
-		t.Errorf("intra = %v, %v", got, err)
-	}
-	want := 80 + 10 + 80 + 100 + 100 // split+move+merge+recool+gate
-	if got, err := p.GateLatency(c.Gate(cross), l, lat); err != nil || got != float64(want) {
-		t.Errorf("cross = %v (%v), want %d", got, err, want)
 	}
 }
 
@@ -214,5 +195,117 @@ func TestMultiHopShuttleCheaperThanMultiWeak(t *testing.T) {
 	}
 	if res.ShuttleMicros != twoHop+lat.TwoQubit {
 		t.Fatalf("2-hop shuttle = %v, want %v", res.ShuttleMicros, twoHop+lat.TwoQubit)
+	}
+}
+
+// randomPlaced returns a random circuit of 1-qubit gates and CX gates
+// between arbitrary qubit pairs, so transports span any number of hops,
+// on a random layout of a topo device; it has 1 to maxTwoQ CX gates.
+func randomPlaced(t *testing.T, r *rand.Rand, topo ti.Topology, maxTwoQ int) (*circuit.Circuit, *ti.Layout) {
+	t.Helper()
+	n := 4 + r.Intn(29)
+	d, err := ti.DeviceFor(n, 2+r.Intn(5), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := placement.Random{}.Place(d, n, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New("rand", n)
+	for twoQ := 1 + r.Intn(maxTwoQ); twoQ > 0; {
+		if r.Intn(3) == 0 {
+			c.X(r.Intn(n))
+			continue
+		}
+		a, b := r.Intn(n), r.Intn(n-1)
+		if b >= a {
+			b++
+		}
+		c.CX(a, b)
+		twoQ--
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return c, l
+}
+
+// TestCompareIsTheDeltaSurrogate pins Compare's shuttle columns to the
+// delta evaluator under Backend's weights, bit for bit, at non-integer
+// costs and latencies: ShuttleMicros is the from-scratch FullCost and
+// ShuttleSerialMicros the latency sum before any swap.
+func TestCompareIsTheDeltaSurrogate(t *testing.T) {
+	r := stats.NewRand(11)
+	for trial := 0; trial < 120; trial++ {
+		topo := []ti.Topology{ti.Ring, ti.Line}[trial%2]
+		c, l := randomPlaced(t, r, topo, 150)
+		p := Params{SplitMicros: 100 * r.Float64(), MergeMicros: 100 * r.Float64(),
+			MovePerHopMicros: 20 * r.Float64(), RecoolMicros: 150 * r.Float64()}
+		lat := perf.Latencies{OneQubit: 5 * r.Float64(), TwoQubit: 50 + 100*r.Float64(), WeakPenalty: 1 + 2*r.Float64()}
+		got, err := Compare(c, l, lat, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		de, err := perf.NewDeltaEval(perf.NewEvaluator(c), l, Backend{Params: p}, lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := de.FullCost()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ShuttleMicros != full || got.ShuttleSerialMicros != de.LatencySum() {
+			t.Fatalf("trial %d (%+v): Compare = %v / %v serial, delta evaluator %v / %v",
+				trial, p, got.ShuttleMicros, got.ShuttleSerialMicros, full, de.LatencySum())
+		}
+	}
+}
+
+// TestCompareBoundsTheBackend checks Compare against a binding the shuttle
+// backend prepared, at integer costs, where both sum exactly: the serial
+// per-gate time is the same sum, and the backend's makespan, whose
+// transports queue on shared segments, is never earlier than the
+// contention-free one, and equal when at most one gate crosses chains.
+func TestCompareBoundsTheBackend(t *testing.T) {
+	r := stats.NewRand(3)
+	lat := perf.DefaultLatencies()
+	single := 0
+	for _, p := range []Params{Default(), {SplitMicros: 5, MergeMicros: 7, MovePerHopMicros: 3, RecoolMicros: 11}, {}} {
+		for _, topo := range []ti.Topology{ti.Ring, ti.Line} {
+			for trial := 0; trial < 35; trial++ {
+				c, l := randomPlaced(t, r, topo, []int{2, 40, 150}[trial%3])
+				cmp, err := Compare(c, l, lat, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := perf.NewEvaluator(c).Bind(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := (Backend{Params: p}).Prepare(b, l); err != nil {
+					t.Fatal(err)
+				}
+				res, err := b.Time(lat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.SerialPerGateMicros != cmp.ShuttleSerialMicros {
+					t.Fatalf("%+v %v trial %d: backend serial %v, Compare %v", p, topo, trial, res.SerialPerGateMicros, cmp.ShuttleSerialMicros)
+				}
+				if res.ParallelMicros < cmp.ShuttleMicros {
+					t.Fatalf("%+v %v trial %d: backend makespan %v earlier than contention-free %v", p, topo, trial, res.ParallelMicros, cmp.ShuttleMicros)
+				}
+				if cmp.CrossGates <= 1 {
+					single++
+					if res.ParallelMicros != cmp.ShuttleMicros {
+						t.Fatalf("%+v %v trial %d: %d cross gates, backend %v, Compare %v", p, topo, trial, cmp.CrossGates, res.ParallelMicros, cmp.ShuttleMicros)
+					}
+				}
+			}
+		}
+	}
+	if single == 0 {
+		t.Fatal("no trial had at most one cross-chain gate")
 	}
 }

@@ -228,51 +228,12 @@ func (d *Device) MaxWeakLinks() int { return len(d.links) }
 // callers must not modify it.
 func (d *Device) WeakLinks() []WeakLink { return d.links }
 
-// ChainDistance returns the minimum number of weak links that must be
-// traversed to move between chains a and b (0 when a == b). It returns -1
-// if the chains are disconnected (cannot happen for Ring/Line devices but
-// kept for safety). Used by the forgiving routing mode for explicit
-// circuits whose mapped gates span non-adjacent chains.
-func (d *Device) ChainDistance(a, b int) int {
-	if a == b {
-		return 0
-	}
-	if a < 0 || a >= d.numChains || b < 0 || b >= d.numChains {
-		return -1
-	}
-	// BFS over the chain adjacency induced by weak links.
-	adj := make([][]int, d.numChains)
-	for _, l := range d.links {
-		adj[l.A.Chain] = append(adj[l.A.Chain], l.B.Chain)
-		adj[l.B.Chain] = append(adj[l.B.Chain], l.A.Chain)
-	}
-	dist := make([]int, d.numChains)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[a] = 0
-	queue := []int{a}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == b {
-			return dist[u]
-		}
-		for _, v := range adj[u] {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist[b]
-}
-
 // ChainDistances returns the all-pairs chain-hop matrix in row-major order:
-// entry a*NumChains()+b is ChainDistance(a, b). One adjacency build plus one
-// BFS per source chain — callers that need the whole matrix (the delta
-// evaluator prices every cross-chain gate against it) would otherwise pay
-// an adjacency rebuild per pair.
+// entry a*NumChains()+b is the minimum number of weak links between chains
+// a and b (0 when a == b, -1 when no weak-link path joins them). One
+// adjacency build plus one BFS per source chain; it is the device's one
+// hop-distance table (the delta evaluator prices every cross-chain gate
+// against it), and PathLinks names the links of one shortest path.
 func (d *Device) ChainDistances() []int32 {
 	adj := make([][]int, d.numChains)
 	for _, l := range d.links {

@@ -109,25 +109,24 @@ func TestLinkPortsWellFormed(t *testing.T) {
 
 func TestChainDistance(t *testing.T) {
 	ring, _ := NewDevice(8, 6, Ring)
+	m := ring.ChainDistances()
 	cases := []struct{ a, b, want int }{
 		{0, 0, 0}, {0, 1, 1}, {0, 3, 3}, {0, 5, 1}, {0, 4, 2},
 	}
 	for _, c := range cases {
-		if got := ring.ChainDistance(c.a, c.b); got != c.want {
+		if got := m[c.a*ring.NumChains()+c.b]; got != int32(c.want) {
 			t.Errorf("ring distance(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 	line, _ := NewDevice(8, 6, Line)
-	if got := line.ChainDistance(0, 5); got != 5 {
+	if got := line.ChainDistances()[5]; got != 5 {
 		t.Errorf("line distance(0,5) = %d, want 5", got)
-	}
-	if got := ring.ChainDistance(-1, 2); got != -1 {
-		t.Errorf("invalid chain distance should be -1, got %d", got)
 	}
 }
 
 // TestChainDistancesMatchesPairwise pins the all-pairs matrix against the
-// per-pair BFS, disconnected chains included.
+// length of each pair's PathLinks, an independent BFS, disconnected chains
+// included: a pair of distinct chains with no path is -1.
 func TestChainDistancesMatchesPairwise(t *testing.T) {
 	ring, _ := NewDevice(8, 6, Ring)
 	line, _ := NewDevice(8, 6, Line)
@@ -146,7 +145,11 @@ func TestChainDistancesMatchesPairwise(t *testing.T) {
 		}
 		for a := 0; a < nc; a++ {
 			for b := 0; b < nc; b++ {
-				if got, want := m[a*nc+b], int32(d.ChainDistance(a, b)); got != want {
+				want := int32(len(d.PathLinks(a, b)))
+				if a != b && want == 0 {
+					want = -1
+				}
+				if got := m[a*nc+b]; got != want {
 					t.Errorf("%s: matrix(%d,%d) = %d, want %d", d, a, b, got, want)
 				}
 			}
@@ -227,10 +230,10 @@ func TestPathLinksRingTakesShortSide(t *testing.T) {
 		t.Fatalf("wraparound path length = %d, want 1", len(path))
 	}
 	// 0 → 3 is three hops either way; path must still be length 3 and
-	// consistent with ChainDistance.
+	// consistent with ChainDistances.
 	path = d.PathLinks(0, 3)
-	if len(path) != d.ChainDistance(0, 3) {
-		t.Fatalf("path length %d != distance %d", len(path), d.ChainDistance(0, 3))
+	if dist := d.ChainDistances()[3]; len(path) != int(dist) {
+		t.Fatalf("path length %d != distance %d", len(path), dist)
 	}
 	// Determinism.
 	again := d.PathLinks(0, 3)
@@ -254,10 +257,10 @@ func TestTapeTopology(t *testing.T) {
 	// Hop counts are the defining difference from the ring: the tape has
 	// no short way around, so end-to-end distance is c−1, not 1.
 	ring := mustDevice(t, 4, 5, Ring)
-	if got := d.ChainDistance(0, 4); got != 4 {
+	if got := d.ChainDistances()[4]; got != 4 {
 		t.Errorf("tape end-to-end distance = %d, want 4", got)
 	}
-	if got := ring.ChainDistance(0, 4); got != 1 {
+	if got := ring.ChainDistances()[4]; got != 1 {
 		t.Errorf("ring wraparound distance = %d, want 1", got)
 	}
 	if got := len(d.PathLinks(0, 4)); got != 4 {
@@ -309,7 +312,7 @@ func TestNewDeviceLinksValidation(t *testing.T) {
 		t.Errorf("link ID should be renumbered in input order, got %d", d.WeakLinks()[0].ID)
 	}
 	// Disconnected chain pairs are permitted and report distance −1.
-	if got := d.ChainDistance(0, 2); got != -1 {
+	if got := d.ChainDistances()[2]; got != -1 {
 		t.Errorf("disconnected distance = %d, want -1", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"velociti/internal/verr"
 )
 
 // Layout is a concrete assignment of a workload's qubits onto a device's
@@ -204,38 +203,6 @@ func (l *Layout) LegalPairs() [][2]int {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// Hops returns the number of weak links a 2-qubit interaction between a and
-// b must traverse: 0 for same-chain pairs, 1 for weak-link pairs, and the
-// chain distance for non-adjacent pairs (used only by the forgiving routing
-// mode for explicit circuits; the paper's placement never generates such
-// gates). Pairs on adjacent chains that are not the link's edge qubits also
-// count 1 hop in forgiving mode. Disconnected pairs return -1: an earlier
-// revision fabricated a finite "extreme cost" (NumChains), which let the
-// shuttle path silently price an impossible gate. Callers that must not
-// see a sentinel use PathHops, which surfaces disconnection as a typed
-// input error.
-func (l *Layout) Hops(a, b int) int {
-	l.check(a)
-	l.check(b)
-	if l.chainOf[a] == l.chainOf[b] {
-		return 0
-	}
-	return l.device.ChainDistance(l.chainOf[a], l.chainOf[b])
-}
-
-// PathHops is Hops with disconnection made unignorable: it returns a typed
-// input error (verr) when no weak-link path joins the operands' chains,
-// instead of a sentinel a pricing model could mistake for a cost. The
-// shuttle timing path prices per-hop transport through this method.
-func (l *Layout) PathHops(a, b int) (int, error) {
-	h := l.Hops(a, b)
-	if h < 0 {
-		return 0, verr.Inputf("ti: qubits q%d and q%d sit on disconnected chains %d and %d; no weak-link path exists",
-			a, b, l.chainOf[a], l.chainOf[b])
-	}
-	return h, nil
 }
 
 // String renders the layout chain by chain.

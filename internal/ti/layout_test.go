@@ -217,23 +217,6 @@ func TestLegalPairsMatchesLegal2QExhaustively(t *testing.T) {
 	}
 }
 
-func TestHops(t *testing.T) {
-	d := mustDevice(t, 2, 4, Ring)
-	l := mustLayout(t, d, [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
-	if l.Hops(0, 1) != 0 {
-		t.Errorf("same-chain hops = %d", l.Hops(0, 1))
-	}
-	if l.Hops(1, 2) != 1 {
-		t.Errorf("adjacent-chain hops = %d", l.Hops(1, 2))
-	}
-	if l.Hops(0, 4) != 2 {
-		t.Errorf("opposite-chain hops = %d, want 2", l.Hops(0, 4))
-	}
-	if l.Hops(0, 6) != 1 {
-		t.Errorf("ring wraparound hops = %d, want 1", l.Hops(0, 6))
-	}
-}
-
 func TestLayoutString(t *testing.T) {
 	d := mustDevice(t, 2, 2, Ring)
 	l := mustLayout(t, d, [][]int{{0}, {1}})
@@ -252,30 +235,4 @@ func TestLayoutPanicsOnBadQubit(t *testing.T) {
 		}
 	}()
 	l.ChainOf(5)
-}
-
-func TestHopsDisconnected(t *testing.T) {
-	// Chains {0,1} linked, chain 2 isolated: Hops must report the
-	// disconnect as −1, never a fabricated finite cost (an earlier
-	// revision returned NumChains() here, silently under-pricing
-	// impossible transports).
-	d, err := NewDeviceLinks(2, 3, []WeakLink{
-		{A: Port{Chain: 0, Side: Right}, B: Port{Chain: 1, Side: Left}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := mustLayout(t, d, [][]int{{0, 1}, {2, 3}, {4, 5}})
-	if got := l.Hops(0, 2); got != 1 {
-		t.Errorf("connected hops = %d, want 1", got)
-	}
-	if got := l.Hops(0, 4); got != -1 {
-		t.Errorf("disconnected hops = %d, want -1", got)
-	}
-	if _, err := l.PathHops(0, 2); err != nil {
-		t.Errorf("connected PathHops: %v", err)
-	}
-	if _, err := l.PathHops(0, 4); err == nil {
-		t.Error("disconnected PathHops should fail")
-	}
 }

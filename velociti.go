@@ -121,7 +121,11 @@ func Run(cfg Config) (*Report, error) { return core.Run(cfg) }
 // placed circuit and chain layout alongside the evaluation for detailed
 // inspection.
 func RunOnce(cfg Config, seed int64) (*Circuit, *Layout, Result, error) {
-	return core.RunOnce(cfg, seed)
+	b, res, err := core.RunOnce(cfg, seed)
+	if err != nil {
+		return nil, nil, Result{}, err
+	}
+	return b.Evaluator().Circuit(), b.Layout(), res, nil
 }
 
 // RunSweep executes the configured simulation under every timing model in
