@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"velociti/internal/cache"
 	"velociti/internal/core"
 	"velociti/internal/prof"
 	"velociti/internal/shuttle"
@@ -67,8 +66,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		backendF   = fs.String("backend", "weaklink", "timing backend: weaklink or shuttle (explicit ion transport)")
 		runs       = fs.Int("runs", core.DefaultRuns, "randomized trials per configuration")
 		seed       = fs.Int64("seed", 1, "master random seed")
-		workers    = fs.Int("workers", 1, "trials to run concurrently per configuration")
-		cacheStats = fs.Bool("cache-stats", false, "report stage-cache counters and per-phase wall clock on stderr")
+		workers    = fs.Int("workers", 1, "trials to run concurrently across the whole grid")
+		cacheStats = fs.Bool("cache-stats", false, "report per-phase wall clock on stderr")
 		streamF    = fs.Bool("stream", false, "memory-bounded streaming evaluation: identical CSV bytes with peak memory independent of the gate counts")
 	)
 	profile.Register(fs)
@@ -116,10 +115,10 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 
-	// One artifact store across the whole grid: cells that differ only in α
-	// (or any other Time-stage knob) share placement, synthesis, and binding
-	// work. Content-keyed artifacts keep the CSV byte-identical either way.
-	pipeline := core.NewPipeline()
+	// No Pipeline: RunGrid binds each (workload, chain length, placer)
+	// trial once and prices all of its α cells from that binding, so within
+	// one sweep no binding is ever asked for twice, and without a cache to
+	// hold them the trial loop recycles each trial's circuits.
 	evalStart := time.Now()
 	grid := core.Grid{
 		Specs:        specs,
@@ -130,7 +129,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		Runs:         *runs,
 		Seed:         *seed,
 		Workers:      *workers,
-		Pipeline:     pipeline,
 		Backend:      backend,
 		Stream:       *streamF,
 	}
@@ -151,16 +149,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return err
 	}
 	if *cacheStats {
-		st := pipeline.Stats()
 		fmt.Fprintf(os.Stderr, "velociti-sweep: %d cells evaluated in %s, rendered in %s\n",
 			len(res.Cells)-res.Failed(), renderStart.Sub(evalStart).Round(time.Millisecond), time.Since(renderStart).Round(time.Millisecond))
-		for _, stage := range []struct {
-			name string
-			s    cache.Stats
-		}{{"bind", st.Bind}, {"stream", st.Stream}} {
-			fmt.Fprintf(os.Stderr, "velociti-sweep: cache %-6s %d hit / %d miss / %d evict / %d resident\n",
-				stage.name, stage.s.Hits, stage.s.Misses, stage.s.Evictions, stage.s.Entries)
-		}
 	}
 	return nil
 }

@@ -111,6 +111,8 @@ func TestSweepErrors(t *testing.T) {
 		{"-qv", "-qubit-range", "a:b:c"},
 		{"-qubits", "8", "-chain-lengths", "x"},
 		{"-qubits", "8", "-alphas", "zz"},
+		{"-qubits", "8", "-alphas", "NaN"},
+		{"-qubits", "8", "-alphas", "Inf"},
 		{"-qubits", "8", "-placers", "zz"},
 		{"-qubits", "8", "-topology", "hex"},
 		{"-qubits", "-4"},

@@ -118,6 +118,8 @@ func TestMalformedInputExitStatus(t *testing.T) {
 		{"qasm deep expression", []string{"-qasm", deepQASM}, "parameter expression longer than"},
 		{"qasm expansion budget", []string{"-qasm", doublingQASM}, `line 33: gate "g30" would expand the program past`},
 		{"gantt under shuttle", []string{"-app", "QFT", "-runs", "1", "-backend", "shuttle", "-gantt"}, "drop -backend shuttle"},
+		{"NaN gamma", []string{"-app", "QFT", "-runs", "2", "-gamma", "NaN"}, "2-qubit latency must be positive, got NaN"},
+		{"infinite alpha", []string{"-app", "QFT", "-runs", "2", "-alpha", "Inf"}, "weak-link penalty must be finite, got +Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -158,7 +158,7 @@ func TestAlphaAffectsParallelTime(t *testing.T) {
 
 func TestGanttFidelityShuttleFlags(t *testing.T) {
 	out := runCLI(t, "-app", "BV", "-runs", "2", "-gantt", "-fidelity", "-shuttle", "-workers", "3")
-	for _, want := range []string{"gantt:", "chain  0", "fidelity", "expected errors", "break-even"} {
+	for _, want := range []string{"gantt:", "chain  0", "fidelity", "expected errors", "vs contention-free shuttling", "break-even"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -2,12 +2,13 @@ package core
 
 // This file gives the sweep workflow a request-shaped entry point: a Grid
 // value describes the whole (spec × chain length × α × placer) product the
-// way cmd/velociti-sweep's flags do, RunGrid evaluates it cell by cell with
-// per-cell error isolation, and GridResult.WriteCSV renders exactly the
-// CSV the CLI prints. The sweep CLI and the sweep service (internal/serve)
-// both run through here, which is what makes the service's CLI-equivalence
-// guarantee — byte-identical bodies for the same request — hold by
-// construction rather than by parallel maintenance.
+// way cmd/velociti-sweep's flags do, RunGrid evaluates it on the plan-lane
+// trial loop (plan.go) with per-cell error isolation, and
+// GridResult.WriteCSV renders exactly the CSV the CLI prints. The sweep
+// CLI and the sweep service (internal/serve) both run through here, which
+// is what makes the service's CLI-equivalence guarantee — byte-identical
+// bodies for the same request — hold by construction rather than by
+// parallel maintenance.
 
 import (
 	"context"
@@ -16,8 +17,6 @@ import (
 
 	"velociti/internal/circuit"
 	"velociti/internal/perf"
-	"velociti/internal/pool"
-	"velociti/internal/schedule"
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
@@ -40,16 +39,18 @@ type Grid struct {
 	// Latencies is the base timing model; the zero value selects
 	// perf.DefaultLatencies (δ=1, γ=100).
 	Latencies perf.Latencies
-	// Runs, Seed, and Workers are passed to every cell's Config; zero
-	// Runs selects DefaultRuns, and Workers parallelizes trials inside a
-	// cell (cells themselves run in order — CSV rows and derived seeds
-	// match the serial sweep exactly).
+	// Runs and Seed are passed to every cell's Config; zero Runs selects
+	// DefaultRuns. Workers bounds how many (plan, trial) jobs run at once
+	// across the whole grid; every trial derives its own seed and results
+	// land in canonical order, so the CSV is byte-identical at any count.
 	Runs    int
 	Seed    int64
 	Workers int
 	// Pipeline is the shared stage-artifact store; nil runs cache-free.
-	// Cells that differ only in α share placement, synthesis, and binding
-	// work through it without changing any byte of the output.
+	// Cells that differ only in α already share one binding per trial, so
+	// within one grid nothing is asked for twice: a Pipeline pays off only
+	// across grids (velociti-serve shares one across requests). It never
+	// changes a byte of the output.
 	Pipeline *Pipeline
 	// Backend is the timing backend shared by every cell; nil selects the
 	// weak-link model (perf.WeakLink). It is not a grid axis — a sweep
@@ -110,51 +111,76 @@ func (g Grid) baseLatencies() perf.Latencies {
 	return g.Latencies
 }
 
-// RunGrid evaluates every cell of the grid in canonical order. The
-// returned error is non-nil only for request-level failures (an empty
-// grid, or ctx cancellation before any cell could run); individual cell
-// failures land in GridResult.Errs so the rest of the sweep survives.
+// RunGrid evaluates every cell of the grid. The cells of one (spec, chain
+// length, placer) differ only in α, so they form one plan (plan.go): each
+// (plan, trial) job binds once and prices every α lane, and the jobs run
+// across Workers. Each α lane is validated with the calls a one-cell Run
+// of it makes, so a bad cell fails alone with that Run's error. The
+// returned error is non-nil only for an empty grid; cell failures, ctx
+// cancellation included, land in GridResult.Errs so the rest of the sweep
+// survives.
 func RunGrid(ctx context.Context, g Grid) (*GridResult, error) {
 	cells := g.cells()
 	if len(cells) == 0 {
 		return nil, verr.Inputf("empty sweep grid")
 	}
-	base := g.baseLatencies()
-	res := &GridResult{
-		Cells:   cells,
-		Reports: make([]*Report, len(cells)),
+	lats := make([]perf.Latencies, len(g.Alphas))
+	for ai, alpha := range g.Alphas {
+		lats[ai] = g.baseLatencies()
+		lats[ai].WeakPenalty = alpha
 	}
-	// Trials parallelize inside each cell (Workers); cells run one at a
-	// time so row order — and every trial's derived seed — matches the
-	// serial sweep exactly. RunAll gives per-cell error isolation.
-	res.Errs = pool.RunAll(ctx, 1, len(cells), func(i int) error {
-		c := cells[i]
-		lat := base
-		lat.WeakPenalty = c.Alpha
-		placer, err := schedule.ByName(c.Placer, lat)
+	errs := make([]error, len(cells))
+	var plans []*Plan
+	var planCells [][]int // the cell of each plan lane
+	nL, nA, nP := len(g.ChainLengths), len(g.Alphas), len(g.Placers)
+	for si, spec := range g.Specs {
+		for li, L := range g.ChainLengths {
+			for pi, placer := range g.Placers {
+				cfg := Config{
+					Spec:        spec,
+					ChainLength: L,
+					Topology:    g.Topology,
+					Runs:        g.Runs,
+					Seed:        g.Seed,
+					Pipeline:    g.Pipeline,
+					Backend:     g.Backend,
+					Stream:      g.Stream,
+				}
+				plan, laneErrs := newPlan(cfg, placer, lats)
+				var lanes []int
+				for ai := range lats {
+					c := ((si*nL+li)*nA+ai)*nP + pi
+					if laneErrs != nil && laneErrs[ai] != nil {
+						errs[c] = laneErrs[ai]
+						continue
+					}
+					lanes = append(lanes, c)
+				}
+				if plan != nil {
+					plans = append(plans, plan)
+					planCells = append(planCells, lanes)
+				}
+			}
+		}
+	}
+	runs := Config{Runs: g.Runs}.normalized().Runs
+	reports, planErrs := runReports(ctx, plans, runs, g.Workers, g.Seed)
+	res := &GridResult{Cells: cells, Reports: make([]*Report, len(cells))}
+	for k, lanes := range planCells {
+		for j, c := range lanes {
+			if planErrs[k] != nil {
+				errs[c] = planErrs[k]
+				continue
+			}
+			res.Reports[c] = reports[k][j]
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
-			return err
+			res.Errs = errs
+			break
 		}
-		cfg := Config{
-			Spec:        c.Spec,
-			ChainLength: c.ChainLength,
-			Topology:    g.Topology,
-			Latencies:   lat,
-			Placer:      placer,
-			Runs:        g.Runs,
-			Seed:        g.Seed,
-			Workers:     g.Workers,
-			Pipeline:    g.Pipeline,
-			Backend:     g.Backend,
-			Stream:      g.Stream,
-		}
-		rep, err := RunContext(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		res.Reports[i] = rep
-		return nil
-	})
+	}
 	return res, nil
 }
 

@@ -33,7 +33,6 @@ import (
 	"velociti/internal/cache"
 	"velociti/internal/circuit"
 	"velociti/internal/perf"
-	"velociti/internal/pool"
 	"velociti/internal/schedule"
 	"velociti/internal/stats"
 	"velociti/internal/ti"
@@ -323,12 +322,13 @@ func RunSweep(cfg Config, lats []perf.Latencies) ([]*Report, error) {
 }
 
 // RunSweepContext is RunSweep with cancellation: when ctx is cancelled the
-// trial pool stops dispatching and ctx's error is returned. It owns the one
-// trial loop every entry point runs: trial i derives its own seed from the
-// master seed and is bound once and priced for every lane (Bind, then the
-// binding's TimeAll), or streamed through the backend's frontier kernel
-// when cfg.Stream is set (StreamEval). Results are bit-identical at every
-// worker count.
+// trial loop stops dispatching and ctx's error is returned. It is the
+// one-plan case of the trial loop (plan.go): the configured placer is
+// fixed across lanes, so trial i derives its own seed from the master seed
+// and is bound once and priced for every lane (Bind, then the binding's
+// TimeAll), or streamed through the backend's frontier kernel for every
+// lane at once when cfg.Stream is set (StreamEval). Results are
+// bit-identical at every worker count.
 func RunSweepContext(ctx context.Context, cfg Config, lats []perf.Latencies) ([]*Report, error) {
 	if len(lats) == 0 {
 		return nil, verr.Inputf("core: sweep requires at least one timing model")
@@ -342,46 +342,10 @@ func RunSweepContext(ctx context.Context, cfg Config, lats []perf.Latencies) ([]
 			return nil, err
 		}
 	}
-	cfg = st.cfg
-	perTrial := make([][]perf.Result, cfg.Runs)
-	seeds := make([]int64, cfg.Runs)
-	// Trial 0's stream statistics fill in a streamed Program's gate counts
-	// (every trial of a deterministic program streams the same counts).
-	var sst0 perf.StreamStats
-	err = pool.Run(ctx, cfg.Workers, cfg.Runs, func(i int) error {
-		seed := stats.SplitSeed(cfg.Seed, i)
-		var rs []perf.Result
-		var err error
-		if cfg.Stream {
-			var sst perf.StreamStats
-			rs, sst, err = st.StreamEval(seed, lats)
-			if i == 0 {
-				sst0 = sst
-			}
-		} else {
-			var b *perf.Binding
-			if b, err = st.Bind(seed); err == nil {
-				rs, err = b.TimeAll(lats)
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("core: trial %d: %w", i, err)
-		}
-		seeds[i] = seed
-		perTrial[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	plan := &Plan{lats: lats, st: st, stream: st.cfg.Stream}
+	reports, errs := runReports(ctx, []*Plan{plan}, st.cfg.Runs, st.cfg.Workers, st.cfg.Seed)
+	if errs[0] != nil {
+		return nil, errs[0]
 	}
-	spec := fillStreamedSpec(cfg, st.spec, sst0)
-	reports := make([]*Report, len(lats))
-	for j := range lats {
-		trials := make([]TrialResult, cfg.Runs)
-		for i := range trials {
-			trials[i] = TrialResult{Seed: seeds[i], Perf: perTrial[i][j]}
-		}
-		reports[j] = buildReport(spec, st.device, trials)
-	}
-	return reports, nil
+	return reports[0], nil
 }

@@ -1,11 +1,11 @@
 package core
 
-// BindAll is the plan-grouped explorer's batched Bind: one coupled trial
+// BindAll is the trial loop's batched Bind (plan.go): one coupled trial
 // (one RNG stream: placement, then synthesis over the stream state placement
 // left behind) classified under every timing model of a sweep at once. The
-// per-lane artifacts integrate with the same pipeline caches the per-cell
-// path uses — keys are rebuilt per lane from the lane placer's fingerprint,
-// so a grouped run and a per-cell run populate and hit identical entries.
+// per-lane artifacts integrate with the same pipeline caches a one-cell Run
+// uses — keys are rebuilt per lane from the lane placer's fingerprint, so a
+// plan and a one-cell Run populate and hit identical entries.
 
 import (
 	"fmt"

@@ -53,7 +53,8 @@ func Default() Model {
 	}
 }
 
-// Validate reports an error for non-physical rates.
+// Validate reports an error for non-physical rates. NaN fails every range
+// check; T2 = +Inf is legal and means no dephasing.
 func (m Model) Validate() error {
 	for _, e := range []struct {
 		name string
@@ -63,11 +64,11 @@ func (m Model) Validate() error {
 		{"two-qubit error", m.TwoQubitError},
 		{"weak-link error", m.WeakLinkError},
 	} {
-		if e.v < 0 || e.v >= 1 {
+		if !(e.v >= 0) || e.v >= 1 {
 			return fmt.Errorf("fidelity: %s must be in [0,1), got %g", e.name, e.v)
 		}
 	}
-	if m.T2Micros <= 0 {
+	if !(m.T2Micros > 0) {
 		return fmt.Errorf("fidelity: T2 must be positive, got %g", m.T2Micros)
 	}
 	return nil

@@ -38,11 +38,27 @@ func TestValidateRejectsBadRates(t *testing.T) {
 		{TwoQubitError: 1.0, T2Micros: 1},
 		{WeakLinkError: 2, T2Micros: 1},
 		{T2Micros: 0},
+		{OneQubitError: math.NaN(), T2Micros: 1},
+		{TwoQubitError: math.NaN(), T2Micros: 1},
+		{WeakLinkError: math.NaN(), T2Micros: 1},
+		{WeakLinkError: math.Inf(1), T2Micros: 1},
+		{T2Micros: math.NaN()},
+		{T2Micros: math.Inf(-1)},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
 			t.Errorf("model %d should be invalid", i)
 		}
+	}
+	// T2 = +Inf means no dephasing: legal, and it prices to a finite zero.
+	m := Default()
+	m.T2Micros = math.Inf(1)
+	if err := m.Validate(); err != nil {
+		t.Errorf("T2 = +Inf should be valid: %v", err)
+	}
+	if err := (Model{OneQubitError: -0.1, T2Micros: 1}).Validate(); err == nil ||
+		err.Error() != "fidelity: one-qubit error must be in [0,1), got -0.1" {
+		t.Errorf("finite out-of-range rate: error = %v, want the unchanged diagnostic", err)
 	}
 }
 

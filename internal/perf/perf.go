@@ -28,6 +28,7 @@ package perf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -56,16 +57,26 @@ func DefaultLatencies() Latencies {
 
 // Validate reports an error when the latency configuration is not
 // physically meaningful. α < 1 would make weak links faster than local
-// gates and is rejected (α = 1 means no penalty).
+// gates and is rejected (α = 1 means no penalty). NaN fails the range
+// checks, and +Inf, which would price every trial as infinite, is rejected
+// too.
 func (l Latencies) Validate() error {
-	if l.OneQubit < 0 {
+	if !(l.OneQubit >= 0) {
 		return verr.Inputf("perf: 1-qubit latency must be non-negative, got %g", l.OneQubit)
 	}
-	if l.TwoQubit <= 0 {
+	if !(l.TwoQubit > 0) {
 		return verr.Inputf("perf: 2-qubit latency must be positive, got %g", l.TwoQubit)
 	}
-	if l.WeakPenalty < 1 {
+	if !(l.WeakPenalty >= 1) {
 		return verr.Inputf("perf: weak-link penalty must be ≥ 1, got %g", l.WeakPenalty)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"1-qubit latency", l.OneQubit}, {"2-qubit latency", l.TwoQubit}, {"weak-link penalty", l.WeakPenalty}} {
+		if math.IsInf(f.v, 1) {
+			return verr.Inputf("perf: %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"velociti/internal/circuit"
 	"velociti/internal/ti"
+	"velociti/internal/verr"
 	"velociti/internal/workload"
 )
 
@@ -51,15 +52,42 @@ func TestLatenciesValidate(t *testing.T) {
 		{OneQubit: -1, TwoQubit: 100, WeakPenalty: 2},
 		{OneQubit: 1, TwoQubit: 0, WeakPenalty: 2},
 		{OneQubit: 1, TwoQubit: 100, WeakPenalty: 0.5},
+		{OneQubit: math.NaN(), TwoQubit: 100, WeakPenalty: 2},
+		{OneQubit: 1, TwoQubit: math.NaN(), WeakPenalty: 2},
+		{OneQubit: 1, TwoQubit: 100, WeakPenalty: math.NaN()},
+		{OneQubit: math.Inf(1), TwoQubit: 100, WeakPenalty: 2},
+		{OneQubit: 1, TwoQubit: math.Inf(1), WeakPenalty: 2},
+		{OneQubit: 1, TwoQubit: 100, WeakPenalty: math.Inf(1)},
+		{OneQubit: 1, TwoQubit: math.Inf(-1), WeakPenalty: 2},
 	}
 	for i, l := range bad {
-		if err := l.Validate(); err == nil {
+		err := l.Validate()
+		if err == nil {
 			t.Errorf("case %d should be invalid: %+v", i, l)
+			continue
+		}
+		if !verr.IsInput(err) {
+			t.Errorf("case %d: error should be input-kind, got %v", i, err)
 		}
 	}
 	ok := Latencies{OneQubit: 0, TwoQubit: 50, WeakPenalty: 1}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("α=1 (no penalty) should be valid: %v", err)
+	}
+	// Finite out-of-range values keep their diagnostics word for word.
+	for _, tc := range []struct {
+		lat  Latencies
+		want string
+	}{
+		{Latencies{OneQubit: -1, TwoQubit: 100, WeakPenalty: 2}, "perf: 1-qubit latency must be non-negative, got -1"},
+		{Latencies{OneQubit: 1, TwoQubit: 0, WeakPenalty: 2}, "perf: 2-qubit latency must be positive, got 0"},
+		{Latencies{OneQubit: 1, TwoQubit: 100, WeakPenalty: 0.5}, "perf: weak-link penalty must be ≥ 1, got 0.5"},
+		{Latencies{OneQubit: 1, TwoQubit: 100, WeakPenalty: math.NaN()}, "perf: weak-link penalty must be ≥ 1, got NaN"},
+		{Latencies{OneQubit: 1, TwoQubit: 100, WeakPenalty: math.Inf(1)}, "perf: weak-link penalty must be finite, got +Inf"},
+	} {
+		if err := tc.lat.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: error = %v, want %q", tc.lat, err, tc.want)
+		}
 	}
 }
 

@@ -24,6 +24,8 @@ package perf
 // weights (delta.go), which shuttle.Compare reports directly.
 
 import (
+	"math"
+
 	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
@@ -42,10 +44,11 @@ type TransportCosts struct {
 	RecoolMicros float64 `json:"recool_us"`
 }
 
-// Validate reports a typed input error (verr) for negative or NaN costs.
-// Config loading, the serve layer and AttachTransport call it at the input
-// boundary, so a bad cost in a params file or request body surfaces as an
-// "invalid input" diagnostic rather than a computed garbage result.
+// Validate reports a typed input error (verr) for negative, NaN or +Inf
+// costs. Config loading, the serve layer and AttachTransport call it at
+// the input boundary, so a bad cost in a params file or request body
+// surfaces as an "invalid input" diagnostic rather than a computed garbage
+// result.
 func (c TransportCosts) Validate() error {
 	for _, v := range [...]struct {
 		name string
@@ -58,6 +61,9 @@ func (c TransportCosts) Validate() error {
 	} {
 		if !(v.val >= 0) {
 			return verr.Inputf("shuttle: %s cost must be a non-negative number, got %g", v.name, v.val)
+		}
+		if math.IsInf(v.val, 1) {
+			return verr.Inputf("shuttle: %s cost must be finite, got %g", v.name, v.val)
 		}
 	}
 	return nil

@@ -145,7 +145,7 @@ func TestTransportContentionHandCase(t *testing.T) {
 	}
 }
 
-// TestTransportCostsValidate rejects negative and NaN costs as typed
+// TestTransportCostsValidate rejects negative, NaN and +Inf costs as typed
 // input errors, both directly and when AttachTransport is handed them,
 // which then leaves the binding unprepared.
 func TestTransportCostsValidate(t *testing.T) {
@@ -156,6 +156,8 @@ func TestTransportCostsValidate(t *testing.T) {
 		{MovePerHopMicros: -0.5},
 		{MergeMicros: math.NaN()},
 		{RecoolMicros: math.Inf(-1)},
+		{SplitMicros: math.Inf(1)},
+		{MovePerHopMicros: math.Inf(1)},
 	}
 	for i, costs := range bad {
 		err := costs.Validate()
@@ -179,6 +181,10 @@ func TestTransportCostsValidate(t *testing.T) {
 	}
 	if err := (TransportCosts{}).Validate(); err != nil {
 		t.Errorf("zero costs should be valid: %v", err)
+	}
+	if err := (TransportCosts{SplitMicros: -1}).Validate(); err == nil ||
+		err.Error() != "shuttle: split cost must be a non-negative number, got -1" {
+		t.Errorf("finite negative cost: error = %v, want the unchanged diagnostic", err)
 	}
 }
 
