@@ -129,14 +129,14 @@ func RunGrid(ctx context.Context, g Grid) (*GridResult, error) {
 		lats[ai] = g.baseLatencies()
 		lats[ai].WeakPenalty = alpha
 	}
-	errs := make([]error, len(cells))
+	res := &GridResult{Cells: cells, Reports: make([]*Report, len(cells)), Errs: make([]error, len(cells))}
 	var plans []*Plan
 	var planCells [][]int // the cell of each plan lane
 	nL, nA, nP := len(g.ChainLengths), len(g.Alphas), len(g.Placers)
 	for si, spec := range g.Specs {
 		for li, L := range g.ChainLengths {
 			for pi, placer := range g.Placers {
-				cfg := Config{
+				plan, errs := NewPlan(Config{
 					Spec:        spec,
 					ChainLength: L,
 					Topology:    g.Topology,
@@ -145,16 +145,14 @@ func RunGrid(ctx context.Context, g Grid) (*GridResult, error) {
 					Pipeline:    g.Pipeline,
 					Backend:     g.Backend,
 					Stream:      g.Stream,
-				}
-				plan, laneErrs := newPlan(cfg, placer, lats)
+				}, placer, lats)
 				var lanes []int
-				for ai := range lats {
+				for ai, err := range errs {
 					c := ((si*nL+li)*nA+ai)*nP + pi
-					if laneErrs != nil && laneErrs[ai] != nil {
-						errs[c] = laneErrs[ai]
-						continue
+					res.Errs[c] = err
+					if err == nil {
+						lanes = append(lanes, c)
 					}
-					lanes = append(lanes, c)
 				}
 				if plan != nil {
 					plans = append(plans, plan)
@@ -163,23 +161,17 @@ func RunGrid(ctx context.Context, g Grid) (*GridResult, error) {
 			}
 		}
 	}
-	runs := Config{Runs: g.Runs}.normalized().Runs
-	reports, planErrs := runReports(ctx, plans, runs, g.Workers, g.Seed)
-	res := &GridResult{Cells: cells, Reports: make([]*Report, len(cells))}
+	reports, errs := runReports(ctx, plans, Config{Runs: g.Runs}.normalized().Runs, g.Workers, g.Seed)
 	for k, lanes := range planCells {
 		for j, c := range lanes {
-			if planErrs[k] != nil {
-				errs[c] = planErrs[k]
-				continue
+			res.Errs[c] = errs[k]
+			if errs[k] == nil {
+				res.Reports[c] = reports[k][j]
 			}
-			res.Reports[c] = reports[k][j]
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			res.Errs = errs
-			break
-		}
+	if res.Failed() == 0 {
+		res.Errs = nil
 	}
 	return res, nil
 }

@@ -1,13 +1,12 @@
 package core
 
-// This file is the one trial loop behind every sweep entry point. The
-// configurations of a sweep that differ only in the timing model — the α
-// lanes of one (workload, chain length, placer, backend) plan — share every
-// stage up to Bind, because α enters only where a binding is priced (Eq. 2).
-// So each (plan, trial) job binds once and hands the lane bindings to the
-// caller's pricing: RunSweepContext runs one plan, RunGrid one per (spec,
-// chain length, placer), and the design-space explorer (internal/dse) one
-// per (chain length, placer, backend) with its own fidelity pricing.
+// This file is the one trial loop. The cells of a sweep that differ only in
+// the timing model, the α lanes of one (workload, chain length, placer,
+// backend) plan, share every stage up to Bind, since α enters only where a
+// binding is priced (Eq. 2). So each (plan, trial) job binds once and hands
+// the lane bindings to the caller's pricing: RunSweepContext runs one plan,
+// RunGrid one per (spec, chain length, placer), and internal/dse one per
+// (chain length, placer, backend).
 
 import (
 	"context"
@@ -21,69 +20,43 @@ import (
 )
 
 // Plan is one latency-independent configuration of a sweep with its α
-// lanes: lane j prices the plan's trials under the lane's timing model.
-// Build one with NewPlan.
+// lanes. Build one with NewPlan.
 type Plan struct {
 	lats []perf.Latencies
-	// st binds every lane of a trial at once: through BindAll when batch
-	// is set (a sweep placer resolved per lane), or with one Bind, or one
-	// stream pass, shared by every lane when the placer is fixed across
-	// the lanes (RunSweep).
-	st    *Stages
-	batch bool
-	// lanes binds or streams each lane on its own stages instead: placers
-	// that cannot synthesize a sweep in one pass (the annealer searches a
-	// layout per lane circuit), and streaming grids, whose stream cache
-	// keys then stay those of a one-cell run.
-	lanes  []*Stages
-	stream bool
+	// stages[k] binds lanes [k·w, (k+1)·w), w = len(lats)/len(stages).
+	// One Stages binds every lane when batch is set (a sweep placer,
+	// through BindAll) or the placer is fixed across lanes (RunSweep).
+	// The annealed placer, whose searched layout differs per lane
+	// circuit, and streaming grids, whose stream cache keys then stay a
+	// one-cell run's, get one per lane.
+	stages []*Stages
+	batch  bool
 	// recycle returns a batched binding's circuit and evaluator to their
-	// scratch pools once priced. It is set only without a Pipeline, where
+	// scratch pools once priced; it is set only without a Pipeline, where
 	// nothing else holds them.
 	recycle bool
 }
 
-// NewPlan resolves the α lanes of one plan: lane j runs cfg under lats[j]
+// NewPlan resolves the lanes of one plan: lane j runs cfg under lats[j]
 // with the gate placer named placer resolved under lats[j]. Each lane is
-// validated with the calls a one-cell Run of it makes, and the first
-// invalid lane's error is returned with that Run's text.
-func NewPlan(cfg Config, placer string, lats []perf.Latencies) (*Plan, error) {
-	p, errs := newPlan(cfg, placer, lats)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// newPlan is NewPlan with per-lane failures: an invalid lane is left out of
-// the plan and its error lands in errs[j]. errs is nil when every lane is
-// valid, and the plan is nil when none is; the plan's lanes are the valid
-// ones, in order.
-func newPlan(cfg Config, placer string, lats []perf.Latencies) (*Plan, []error) {
-	var errs []error
+// validated with the calls a one-cell Run of it makes, and errs[j] holds
+// an invalid lane's error with that Run's text. The plan prices the valid
+// lanes, in order, and is nil when none is valid.
+func NewPlan(cfg Config, placer string, lats []perf.Latencies) (*Plan, []error) {
 	p := &Plan{lats: make([]perf.Latencies, 0, len(lats))}
+	errs := make([]error, len(lats))
 	for j, lat := range lats {
-		lat = Config{Latencies: lat}.normalized().Latencies
-		var err error
+		cfg.Latencies = Config{Latencies: lat}.normalized().Latencies
 		if p.batch {
-			// Once one lane has resolved, the lanes differ only in the
-			// timing model, so this is the one check of a one-cell Run
-			// that can still fail.
-			err = lat.Validate()
+			// The lanes differ only in the timing model, so this is the
+			// one check of a one-cell Run that can still fail.
+			errs[j] = cfg.Latencies.Validate()
 		} else {
-			cfg.Latencies = lat
-			err = p.addLane(cfg, placer)
+			errs[j] = p.addLane(cfg, placer)
 		}
-		if err != nil {
-			if errs == nil {
-				errs = make([]error, len(lats))
-			}
-			errs[j] = err
-			continue
+		if errs[j] == nil {
+			p.lats = append(p.lats, cfg.Latencies)
 		}
-		p.lats = append(p.lats, lat)
 	}
 	if len(p.lats) == 0 {
 		return nil, errs
@@ -91,10 +64,9 @@ func newPlan(cfg Config, placer string, lats []perf.Latencies) (*Plan, []error) 
 	return p, errs
 }
 
-// addLane resolves one lane as a one-cell Run does (the placer name under
-// the lane's timing model, then NewStages) and adds its stages. The first
-// lane decides how the plan binds: a sweep placer that does not stream
-// binds every later lane through the first lane's BindAll.
+// addLane resolves one lane as a one-cell Run does: the placer name under
+// the lane's timing model, then NewStages. The first valid lane decides
+// how the plan binds.
 func (p *Plan) addLane(cfg Config, placer string) error {
 	pl, err := schedule.ByName(placer, cfg.Latencies)
 	if err != nil {
@@ -105,40 +77,42 @@ func (p *Plan) addLane(cfg Config, placer string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := pl.(schedule.SweepPlacer); ok && p.lanes == nil && !st.cfg.Stream {
-		p.st, p.batch = st, true
-		p.recycle = st.pl == nil && st.shared == nil
-		return nil
-	}
-	p.lanes = append(p.lanes, st)
-	p.stream = st.cfg.Stream
+	_, sweep := pl.(schedule.SweepPlacer)
+	p.batch = sweep && len(p.stages) == 0 && !cfg.Stream
+	p.recycle = p.batch && st.pl == nil && st.shared == nil
+	p.stages = append(p.stages, st)
 	return nil
 }
 
 // Lats returns the timing models of the plan's lanes, in lane order.
 func (p *Plan) Lats() []perf.Latencies { return p.lats }
 
-// stages returns the stages that describe the plan's workload and device.
-func (p *Plan) stages() *Stages {
-	if p.st != nil {
-		return p.st
-	}
-	return p.lanes[0]
-}
-
 // PriceFunc prices lanes [a0, a1) of trial ri of plans[pi], all of which
 // read binding b. It runs concurrently for distinct (pi, ri) jobs.
 type PriceFunc func(pi, ri, a0, a1 int, b *perf.Binding) error
 
-// RunPlans runs every (plan, trial) job of plans across workers: trial ri
-// of each plan draws stats.SplitSeed(seed, ri), binds once, and hands each
-// run of lanes that share a binding to price, in lane order. It returns
-// the failure of the lowest-indexed failed job (job pi*runs+ri), so the
-// result is the same at every worker count.
+// RunPlans runs every (plan, trial) job across workers: trial ri of each
+// plan draws stats.SplitSeed(seed, ri), binds once, and hands each run of
+// lanes that share a binding to price, in lane order. It returns the
+// failure of the lowest-indexed failed job (job pi*runs+ri), the same at
+// every worker count.
 func RunPlans(ctx context.Context, plans []*Plan, runs, workers int, seed int64, price PriceFunc) error {
-	errs := runPlans(ctx, plans, runs, workers, seed, func(pi, ri int, seed int64) error {
+	return firstErr(runPlans(ctx, plans, runs, workers, seed, func(pi, ri int, seed int64) error {
 		return plans[pi].bind(pi, ri, seed, price)
+	}))
+}
+
+// runPlans runs job pi*runs+ri, trial ri of plans[pi], for every plan and
+// trial across workers, and returns each job's error (nil when all
+// succeeded); a job that never ran because ctx ended holds ctx's error.
+func runPlans(ctx context.Context, plans []*Plan, runs, workers int, seed int64, job func(pi, ri int, seed int64) error) []error {
+	return pool.RunAll(ctx, workers, len(plans)*runs, func(i int) error {
+		ri := i % runs
+		return job(i/runs, ri, stats.SplitSeed(seed, ri))
 	})
+}
+
+func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -147,93 +121,68 @@ func RunPlans(ctx context.Context, plans []*Plan, runs, workers int, seed int64,
 	return nil
 }
 
-// runPlans is the trial loop: it runs job pi*runs+ri, trial ri of
-// plans[pi], for every plan and trial across workers, and returns each
-// job's error (nil when all succeeded). A job that never ran because ctx
-// ended holds ctx's error.
-func runPlans(ctx context.Context, plans []*Plan, runs, workers int, seed int64, job func(pi, ri int, seed int64) error) []error {
-	return pool.RunAll(ctx, workers, len(plans)*runs, func(i int) error {
-		ri := i % runs
-		return job(i/runs, ri, stats.SplitSeed(seed, ri))
-	})
-}
-
 // bind binds one trial's lanes and hands each run of lanes that share a
 // binding to price. Lanes that alias one binding are adjacent: a sweep
 // placer either shares one circuit across all lanes or builds one per lane.
 func (p *Plan) bind(pi, ri int, seed int64, price PriceFunc) error {
-	switch {
-	case p.batch:
-		bs, err := p.st.BindAll(seed, p.lats)
-		if err != nil {
-			return err
-		}
-		for a0 := 0; a0 < len(bs); {
-			a1 := a0 + 1
-			for a1 < len(bs) && bs[a1] == bs[a0] {
-				a1++
-			}
-			if err := price(pi, ri, a0, a1, bs[a0]); err != nil {
+	if !p.batch {
+		w := len(p.lats) / len(p.stages)
+		for k, st := range p.stages {
+			b, err := st.Bind(seed)
+			if err != nil {
 				return err
 			}
-			if p.recycle {
-				ev := bs[a0].Evaluator()
-				circuit.Recycle(ev.Circuit())
-				perf.RecycleEvaluator(ev)
+			if err := price(pi, ri, k*w, (k+1)*w, b); err != nil {
+				return err
 			}
-			a0 = a1
 		}
 		return nil
-	case p.st != nil:
-		b, err := p.st.Bind(seed)
-		if err != nil {
-			return err
-		}
-		return price(pi, ri, 0, len(p.lats), b)
 	}
-	for j, st := range p.lanes {
-		b, err := st.Bind(seed)
-		if err != nil {
+	bs, err := p.stages[0].BindAll(seed, p.lats)
+	if err != nil {
+		return err
+	}
+	for a0 := 0; a0 < len(bs); {
+		a1 := a0 + 1
+		for a1 < len(bs) && bs[a1] == bs[a0] {
+			a1++
+		}
+		if err := price(pi, ri, a0, a1, bs[a0]); err != nil {
 			return err
 		}
-		if err := price(pi, ri, j, j+1, b); err != nil {
-			return err
+		if p.recycle {
+			ev := bs[a0].Evaluator()
+			circuit.Recycle(ev.Circuit())
+			perf.RecycleEvaluator(ev)
 		}
+		a0 = a1
 	}
 	return nil
 }
 
-// streamLanes prices one trial's lanes into out through the backend's
-// frontier kernel: one pass for a fixed placer, one per lane otherwise.
-// It returns the first pass's statistics, which carry a streamed
-// Program's gate counts.
-func (p *Plan) streamLanes(seed int64, out []perf.Result) (perf.StreamStats, error) {
-	if p.st != nil {
-		rs, sst, err := p.st.StreamEval(seed, p.lats)
-		if err != nil {
-			return sst, err
-		}
-		copy(out, rs)
-		return sst, nil
-	}
+// stream prices one trial's lanes into out through the backend's frontier
+// kernel, one pass per Stages, and returns the first pass's statistics,
+// which carry a streamed Program's gate counts.
+func (p *Plan) stream(seed int64, out []perf.Result) (perf.StreamStats, error) {
 	var sst0 perf.StreamStats
-	for j, st := range p.lanes {
-		rs, sst, err := st.StreamEval(seed, p.lats[j:j+1])
+	w := len(p.lats) / len(p.stages)
+	for k, st := range p.stages {
+		rs, sst, err := st.StreamEval(seed, p.lats[k*w:(k+1)*w])
 		if err != nil {
 			return sst0, err
 		}
-		if j == 0 {
+		if k == 0 {
 			sst0 = sst
 		}
-		out[j] = rs[0]
+		copy(out[k*w:], rs)
 	}
 	return sst0, nil
 }
 
-// runReports runs plans through the trial loop, prices every lane under
-// its own timing model (Binding.TimeAll, or the stream pass), and returns
-// each plan's per-lane reports, or the plan's failure: its lowest failed
-// trial's error as a one-cell Run reports it.
+// runReports runs plans through the trial loop, prices every lane under its
+// own timing model (Binding.TimeAll, or the stream pass), and returns each
+// plan's per-lane reports, or its failure: the lowest failed trial's error,
+// as a one-cell Run reports it.
 func runReports(ctx context.Context, plans []*Plan, runs, workers int, seed int64) ([][]*Report, []error) {
 	results := make([][]perf.Result, len(plans))
 	for pi, p := range plans {
@@ -243,21 +192,21 @@ func runReports(ctx context.Context, plans []*Plan, runs, workers int, seed int6
 	// (every trial of a deterministic program streams the same counts).
 	sst0 := make([]perf.StreamStats, len(plans))
 	price := func(pi, ri, a0, a1 int, b *perf.Binding) error {
-		p := plans[pi]
-		rs, err := b.TimeAll(p.lats[a0:a1])
+		lats := plans[pi].lats
+		rs, err := b.TimeAll(lats[a0:a1])
 		if err != nil {
 			return err
 		}
-		copy(results[pi][ri*len(p.lats)+a0:], rs)
+		copy(results[pi][ri*len(lats)+a0:], rs)
 		return nil
 	}
 	errs := runPlans(ctx, plans, runs, workers, seed, func(pi, ri int, seed int64) error {
 		p := plans[pi]
 		var err error
-		if p.stream {
-			var sst perf.StreamStats
+		if p.stages[0].cfg.Stream {
 			nl := len(p.lats)
-			sst, err = p.streamLanes(seed, results[pi][ri*nl:(ri+1)*nl])
+			var sst perf.StreamStats
+			sst, err = p.stream(seed, results[pi][ri*nl:(ri+1)*nl])
 			if ri == 0 {
 				sst0[pi] = sst
 			}
@@ -273,26 +222,18 @@ func runReports(ctx context.Context, plans []*Plan, runs, workers int, seed int6
 	planErrs := make([]error, len(plans))
 	for pi, p := range plans {
 		if errs != nil {
-			for _, err := range errs[pi*runs : (pi+1)*runs] {
-				if err != nil {
-					planErrs[pi] = err
-					break
-				}
-			}
-			if planErrs[pi] != nil {
+			if planErrs[pi] = firstErr(errs[pi*runs : (pi+1)*runs]); planErrs[pi] != nil {
 				continue
 			}
 		}
-		st := p.stages()
+		st, nl := p.stages[0], len(p.lats)
 		spec := fillStreamedSpec(st.cfg, st.spec, sst0[pi])
-		nl := len(p.lats)
-		reports[pi] = make([]*Report, nl)
-		for j := range reports[pi] {
+		for j := 0; j < nl; j++ {
 			trials := make([]TrialResult, runs)
 			for i := range trials {
 				trials[i] = TrialResult{Seed: stats.SplitSeed(seed, i), Perf: results[pi][i*nl+j]}
 			}
-			reports[pi][j] = buildReport(spec, st.device, trials)
+			reports[pi] = append(reports[pi], buildReport(spec, st.device, trials))
 		}
 	}
 	return reports, planErrs

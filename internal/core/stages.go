@@ -342,7 +342,7 @@ func RunSweepContext(ctx context.Context, cfg Config, lats []perf.Latencies) ([]
 			return nil, err
 		}
 	}
-	plan := &Plan{lats: lats, st: st, stream: st.cfg.Stream}
+	plan := &Plan{lats: lats, stages: []*Stages{st}}
 	reports, errs := runReports(ctx, []*Plan{plan}, st.cfg.Runs, st.cfg.Workers, st.cfg.Seed)
 	if errs[0] != nil {
 		return nil, errs[0]

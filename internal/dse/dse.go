@@ -172,7 +172,7 @@ func (o Options) plans(spec circuit.Spec) ([]*core.Plan, error) {
 				if err != nil {
 					return nil, err
 				}
-				p, err := core.NewPlan(core.Config{
+				p, errs := core.NewPlan(core.Config{
 					Spec:        spec,
 					ChainLength: L,
 					Runs:        o.Runs,
@@ -180,8 +180,10 @@ func (o Options) plans(spec circuit.Spec) ([]*core.Plan, error) {
 					Pipeline:    o.Pipeline,
 					Backend:     backend,
 				}, placerName, lats)
-				if err != nil {
-					return nil, err
+				for _, err := range errs {
+					if err != nil {
+						return nil, err
+					}
 				}
 				out = append(out, p)
 			}
