@@ -67,12 +67,12 @@ type Options struct {
 	// Placers to sweep by name; nil selects {"random", "load-balanced"}.
 	// Any schedule.ByName-resolvable name is accepted, including the
 	// search-based "annealed" — it cannot batch a sweep lane-free (the
-	// searched layout differs per synthesized circuit), so its plans bind
-	// each α lane on its own.
+	// searched layout differs per synthesized circuit), so each of its α
+	// lanes binds on its own.
 	Placers []string
 	// Backends to sweep by name ("weaklink", "shuttle"); nil selects
-	// {"weaklink"}. The backend is the innermost grid axis, so plans
-	// batch per backend and a single-backend exploration keeps the
+	// {"weaklink"}. The backend is the innermost grid axis, so a plan
+	// batches one backend and a single-backend exploration keeps the
 	// historical point ordering.
 	Backends []string
 	// Shuttle prices the shuttle backend's transport primitives; nil
@@ -148,11 +148,11 @@ func (o Options) validateShuttle() error {
 	return nil
 }
 
-// plans lowers the grid onto core's trial loop: one plan per (chain
+// lower lowers the grid onto core's trial loop: one plan per (chain
 // length, placer, backend) in canonical order, whose lanes price Alphas in
 // order. Device, placer-name, backend-name, and timing-model errors surface
 // before any trial runs.
-func (o Options) plans(spec circuit.Spec) ([]*core.Plan, error) {
+func (o Options) lower(spec circuit.Spec) ([]*core.Plan, error) {
 	if err := o.validateShuttle(); err != nil {
 		return nil, err
 	}
@@ -213,12 +213,12 @@ func ExploreContext(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	plans, err := opt.plans(spec)
+	lowered, err := opt.lower(spec)
 	if err != nil {
 		return nil, err
 	}
 	nA := len(opt.Alphas)
-	vals := make([]trialVal, len(plans)*opt.Runs*nA)
+	vals := make([]trialVal, len(lowered)*opt.Runs*nA)
 
 	// Per-worker reusable estimators: the model is validated once up
 	// front so pooled construction cannot fail later.
@@ -238,7 +238,7 @@ func ExploreContext(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 			}
 		}
 		defer estPool.Put(est)
-		ests, err := est.EstimateAll(b, plans[pi].Lats()[a0:a1])
+		ests, err := est.EstimateAll(b, lowered[pi].Lats()[a0:a1])
 		if err != nil {
 			return err
 		}
@@ -250,7 +250,7 @@ func ExploreContext(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 		}
 		return nil
 	}
-	if err := core.RunPlans(ctx, plans, opt.Runs, opt.Workers, opt.Seed, price); err != nil {
+	if err := core.RunPlans(ctx, lowered, opt.Runs, opt.Workers, opt.Seed, price); err != nil {
 		return nil, err
 	}
 
@@ -258,9 +258,9 @@ func ExploreContext(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 	// order — the exact accumulation sequence of a per-cell evaluation.
 	// Plan pi is (chain length, placer, backend) in canonical order.
 	nP, nB := len(opt.Placers), len(opt.Backends)
-	points := make([]Point, len(plans)*nA)
+	points := make([]Point, len(lowered)*nA)
 	n := float64(opt.Runs)
-	for pi := range plans {
+	for pi := range lowered {
 		li, pl, bi := pi/(nP*nB), pi/nB%nP, pi%nB
 		for ai := 0; ai < nA; ai++ {
 			var parSum, logSum, weakSum float64
