@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -13,19 +14,23 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
 // TestReproGolden pins the whole reproduction at two runs per data point —
-// stdout, every CSV and every SVG — byte for byte. Figure 5 records host
-// wall time, so its timing rows and scaling line are masked in stdout and
-// its CSV and SVG are skipped. Regenerate with
+// stdout, every CSV and every SVG — byte for byte, and the -cache-stats
+// counter lines on stderr with their durations masked. Figure 5 records
+// host wall time, so its timing rows and scaling line are masked in stdout
+// and its CSV and SVG are skipped. Regenerate with
 //
 //	go test ./cmd/velociti-repro -run TestReproGolden -update
 func TestReproGolden(t *testing.T) {
 	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "2",
-		"-csv", filepath.Join(dir, "csv"), "-svg", filepath.Join(dir, "svg")}, &out); err != nil {
+	var out, errOut bytes.Buffer
+	if err := run(context.Background(), []string{"-runs", "2", "-cache-stats",
+		"-csv", filepath.Join(dir, "csv"), "-svg", filepath.Join(dir, "svg")}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string][]byte{"stdout.txt": []byte(maskFig5(strings.ReplaceAll(out.String(), dir, "$DIR")))}
+	got := map[string][]byte{
+		"stdout.txt": []byte(maskFig5(strings.ReplaceAll(out.String(), dir, "$DIR"))),
+		"stderr.txt": clockRE.ReplaceAll(errOut.Bytes(), []byte("$1 in <wall time>")),
+	}
 	for _, sub := range []string{"csv", "svg"} {
 		entries, err := os.ReadDir(filepath.Join(dir, sub))
 		if err != nil {
@@ -66,6 +71,9 @@ func TestReproGolden(t *testing.T) {
 		}
 	}
 }
+
+// clockRE matches the duration of a per-experiment clock line.
+var clockRE = regexp.MustCompile(`(?m)^(velociti-repro: \S+) in \S+`)
 
 // maskFig5 replaces the wall times in Figure 5's table — the mean sim time
 // column of each row and the scaling line beneath it — with a marker.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 
 func TestReproSubset(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "3", "-only", "table2,table3,fig6"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-runs", "3", "-only", "table2,table3,fig6"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -28,7 +29,7 @@ func TestReproSubset(t *testing.T) {
 func TestReproCSVOutput(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "2", "-only", "fig7", "-csv", dir}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-runs", "2", "-only", "fig7", "-csv", dir}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig7.csv"))
@@ -46,7 +47,7 @@ func TestReproCSVOutput(t *testing.T) {
 
 func TestReproAblations(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "2", "-only", "ablations"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-runs", "2", "-only", "ablations"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -65,7 +66,7 @@ func TestReproAblationOrderingIsStable(t *testing.T) {
 	var first string
 	for i := 0; i < 3; i++ {
 		var buf bytes.Buffer
-		if err := run(context.Background(), []string{"-runs", "1", "-only", "ablations"}, &buf); err != nil {
+		if err := run(context.Background(), []string{"-runs", "1", "-only", "ablations"}, &buf, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		out := buf.String()
@@ -89,14 +90,14 @@ func TestReproAblationOrderingIsStable(t *testing.T) {
 
 func TestReproUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-only", "fig42"}, &buf); err == nil {
+	if err := run(context.Background(), []string{"-only", "fig42"}, &buf, io.Discard); err == nil {
 		t.Fatalf("unknown experiment should error")
 	}
 }
 
 func TestReproScalingStudies(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "2", "-only", "fig8,fig9"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-runs", "2", "-only", "fig8,fig9"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -108,7 +109,7 @@ func TestReproScalingStudies(t *testing.T) {
 func TestReproSVGOutput(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "2", "-only", "fig6,fig8", "-svg", dir}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-runs", "2", "-only", "fig6,fig8", "-svg", dir}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig6.svg", "fig8a.svg", "fig8b.svg"} {
@@ -125,7 +126,7 @@ func TestReproSVGOutput(t *testing.T) {
 func TestReproMarkdownReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.md")
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-runs", "2", "-only", "table2,fig6", "-md", path}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-runs", "2", "-only", "table2,fig6", "-md", path}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -143,14 +144,14 @@ func TestReproMarkdownReport(t *testing.T) {
 func TestProfilingFlagsKeepStdoutByteIdentical(t *testing.T) {
 	base := []string{"-only", "table2,ext-capacity", "-runs", "2"}
 	var plain bytes.Buffer
-	if err := run(context.Background(), base, &plain); err != nil {
+	if err := run(context.Background(), base, &plain, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	var profiled bytes.Buffer
 	args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, base...)
-	if err := run(context.Background(), args, &profiled); err != nil {
+	if err := run(context.Background(), args, &profiled, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
