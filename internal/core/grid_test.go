@@ -202,3 +202,35 @@ func TestRunGridPipelineByteIdentical(t *testing.T) {
 		t.Errorf("pipeline/workers changed CSV bytes:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
+
+// TestWarmGridCountsOneBindHitPerArtifact: a warm grid looks each stored
+// binding up once per trial. Random's six α lanes share one binding per
+// trial, so the warm grid counts Runs hits; load-balanced binds every lane
+// on its own, so it counts Runs × lanes.
+func TestWarmGridCountsOneBindHitPerArtifact(t *testing.T) {
+	for _, tc := range []struct {
+		placer    string
+		artifacts int // bindings per trial
+	}{{"random", 1}, {"load-balanced", 6}} {
+		g := testGrid()
+		g.ChainLengths = []int{4}
+		g.Alphas = []float64{2.0, 1.8, 1.6, 1.4, 1.2, 1.0}
+		g.Placers = []string{tc.placer}
+		g.Pipeline = NewPipeline()
+		if _, err := RunGrid(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+		cold := g.Pipeline.Stats().Bind
+		if _, err := RunGrid(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+		warm := g.Pipeline.Stats().Bind
+		want := uint64(g.Runs * tc.artifacts)
+		if hits, misses := warm.Hits-cold.Hits, warm.Misses-cold.Misses; hits != want || misses != 0 {
+			t.Errorf("%s: warm grid counted %d hits and %d misses, want %d and 0", tc.placer, hits, misses, want)
+		}
+		if warm.Entries != int(want) {
+			t.Errorf("%s: %d bind entries, want %d", tc.placer, warm.Entries, want)
+		}
+	}
+}

@@ -56,12 +56,18 @@ func (s *Stages) BindAll(seed int64, lats []perf.Latencies) ([]*perf.Binding, er
 			}
 		}
 		// All-lanes-hit fast path; a partial hit recomputes everything,
-		// since the coupled trial is one pass that produces all lanes.
+		// since the coupled trial is one pass that produces all lanes. A
+		// run of lanes with one key (every lane of a latency-free placer)
+		// is one artifact, so it is looked up, and counted, once.
 		hit := true
 		for j, key := range bindKeys {
 			if key == "" {
 				hit = false
 				break
+			}
+			if j > 0 && key == bindKeys[j-1] {
+				out[j] = out[j-1]
+				continue
 			}
 			v, ok := s.pl.bind.Get(key)
 			if !ok {
