@@ -161,7 +161,7 @@ func RunGrid(ctx context.Context, g Grid) (*GridResult, error) {
 			}
 		}
 	}
-	reports, errs := runReports(ctx, plans, Config{Runs: g.Runs}.normalized().Runs, g.Workers, g.Seed)
+	reports, errs := RunReports(ctx, plans, Config{Runs: g.Runs}.normalized().Runs, g.Workers, g.Seed)
 	for k, lanes := range planCells {
 		for j, c := range lanes {
 			res.Errs[c] = errs[k]

@@ -5,8 +5,9 @@ package core
 // backend) plan, share every stage up to Bind, since α enters only where a
 // binding is priced (Eq. 2). So each (plan, trial) job binds once and hands
 // the lane bindings to the caller's pricing: RunSweepContext runs one plan,
-// RunGrid one per (spec, chain length, placer), and internal/dse one per
-// (chain length, placer, backend).
+// RunGrid one per (spec, chain length, placer), internal/dse one per
+// (chain length, placer, backend), and each internal/expt driver one per
+// data point.
 
 import (
 	"context"
@@ -179,11 +180,13 @@ func (p *Plan) stream(seed int64, out []perf.Result) (perf.StreamStats, error) {
 	return sst0, nil
 }
 
-// runReports runs plans through the trial loop, prices every lane under its
-// own timing model (Binding.TimeAll, or the stream pass), and returns each
-// plan's per-lane reports, or its failure: the lowest failed trial's error,
-// as a one-cell Run reports it.
-func runReports(ctx context.Context, plans []*Plan, runs, workers int, seed int64) ([][]*Report, []error) {
+// RunReports runs every (plan, trial) job across workers, prices every
+// lane under its own timing model (Binding.TimeAll, or the stream pass),
+// and returns each plan's per-lane reports, or its failure: the lowest
+// failed trial's error, as a one-cell Run reports it. reports[pi][j] is
+// bit-identical to a one-cell Run of lane j of plans[pi] at every worker
+// count.
+func RunReports(ctx context.Context, plans []*Plan, runs, workers int, seed int64) ([][]*Report, []error) {
 	results := make([][]perf.Result, len(plans))
 	for pi, p := range plans {
 		results[pi] = make([]perf.Result, runs*len(p.lats))

@@ -343,7 +343,7 @@ func RunSweepContext(ctx context.Context, cfg Config, lats []perf.Latencies) ([]
 		}
 	}
 	plan := &Plan{lats: lats, stages: []*Stages{st}}
-	reports, errs := runReports(ctx, []*Plan{plan}, st.cfg.Runs, st.cfg.Workers, st.cfg.Seed)
+	reports, errs := RunReports(ctx, []*Plan{plan}, st.cfg.Runs, st.cfg.Workers, st.cfg.Seed)
 	if errs[0] != nil {
 		return nil, errs[0]
 	}

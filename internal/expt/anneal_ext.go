@@ -15,7 +15,6 @@ import (
 
 	"velociti/internal/apps"
 	"velociti/internal/circuit"
-	"velociti/internal/core"
 	"velociti/internal/placement"
 )
 
@@ -44,10 +43,11 @@ func AblationAnnealedPlacementContext(ctx context.Context, opt Options) (*Ablati
 	if err != nil {
 		return nil, fmt.Errorf("expt: annealed ablation workload: %w", err)
 	}
-	res := &AblationResult{Name: "Extension: search-based (annealed) placement vs constructive policies (16-ion chains)"}
+	var set planSet
+	var variants []string
 	for _, c := range []*circuit.Circuit{qft, sup} {
 		ig := c.InteractionGraph()
-		variants := []struct {
+		for _, v := range []struct {
 			name string
 			pol  placement.Policy
 		}{
@@ -56,24 +56,12 @@ func AblationAnnealedPlacementContext(ctx context.Context, opt Options) (*Ablati
 			{"interaction-aware", placement.InteractionAware{Interactions: ig}},
 			{"annealed", placement.Annealed{Circuit: c, Backend: opt.Backend, Latencies: opt.Latencies, Moves: annealAblationMoves}},
 			{"interaction+annealed", placement.Annealed{Circuit: c, Base: placement.InteractionAware{Interactions: ig}, Backend: opt.Backend, Latencies: opt.Latencies, Moves: annealAblationMoves}},
-		}
-		for _, v := range variants {
-			cfg := core.Config{
-				Circuit:     c,
-				ChainLength: 16,
-				Latencies:   opt.Latencies,
-				Placement:   v.pol,
-				Runs:        opt.Runs,
-				Seed:        opt.Seed,
-				Pipeline:    opt.Pipeline,
-				Backend:     opt.Backend,
+		} {
+			if err := set.add(fmt.Sprintf("expt: annealed ablation %s %s", c.Name, v.name), opt.circuitConfig(c, v.pol), "random", opt.Latencies); err != nil {
+				return nil, err
 			}
-			row, err := ablationRow(ctx, c.Name+"/"+v.name, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("expt: annealed ablation %s %s: %w", c.Name, v.name, err)
-			}
-			res.Rows = append(res.Rows, row)
+			variants = append(variants, c.Name+"/"+v.name)
 		}
 	}
-	return res, nil
+	return runAblation(ctx, opt, "Extension: search-based (annealed) placement vs constructive policies (16-ion chains)", variants, &set)
 }

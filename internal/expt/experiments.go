@@ -9,7 +9,6 @@ import (
 	"velociti/internal/circuit"
 	"velociti/internal/core"
 	"velociti/internal/perf"
-	"velociti/internal/pool"
 	"velociti/internal/stats"
 	"velociti/internal/ti"
 	"velociti/internal/workload"
@@ -24,19 +23,17 @@ type Options struct {
 	Seed int64
 	// Latencies is the timing model; the zero value selects Table III.
 	Latencies perf.Latencies
-	// Workers bounds the experiment drivers' concurrency (results are
-	// bit-identical at any worker count); zero runs serially. Drivers
-	// with many independent data points (Fig6, Fig7, the Fig8/9 scaling
-	// studies) spread the points themselves across the shared worker
-	// pool; single-point drivers pass the budget down to core.Run's
-	// trial pool instead.
+	// Workers bounds how many (data point, trial) jobs a driver runs at
+	// once; zero or one runs serially. Every driver runs all of its jobs
+	// in one call to core's trial loop, so the budget means the same for
+	// each, and results are bit-identical at any worker count.
 	Workers int
 	// Pipeline, when non-nil, is the shared stage-artifact store threaded
 	// into every simulation the drivers run (except Fig5, which measures
 	// cold simulation wall time). Caching never changes any figure —
-	// artifacts are content-keyed — it only skips recomputation of
-	// layouts, synthesized circuits, and gate-class bindings that repeat
-	// across cells.
+	// artifacts are content-keyed — it only skips recomputing the
+	// gate-class bindings (each carrying its trial's layout and circuit)
+	// that repeat across data points and drivers.
 	Pipeline *core.Pipeline
 	// Backend is the timing backend every driver prices with; nil selects
 	// the weak-link model (the paper's). Alternate backends reproduce the
@@ -69,6 +66,50 @@ func (o Options) baseConfig(spec circuit.Spec, chainLength int) core.Config {
 		Pipeline:    o.Pipeline,
 		Backend:     o.Backend,
 	}
+}
+
+// newPlan lowers cfg onto a core plan whose lanes price lats with the gate
+// placer named placer; an invalid lane fails the plan with the error a
+// one-cell run of it reports.
+func newPlan(cfg core.Config, placer string, lats ...perf.Latencies) (*core.Plan, error) {
+	p, errs := core.NewPlan(cfg, placer, lats)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// planSet is a report driver's data points lowered onto core plans, each
+// with the name its errors carry.
+type planSet struct {
+	names []string
+	plans []*core.Plan
+}
+
+// add lowers one data point (see newPlan).
+func (s *planSet) add(name string, cfg core.Config, placer string, lats ...perf.Latencies) error {
+	p, err := newPlan(cfg, placer, lats...)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	s.names = append(s.names, name)
+	s.plans = append(s.plans, p)
+	return nil
+}
+
+// reports runs every plan's trials in one core.RunReports call across
+// opt.Workers and returns each plan's lane reports, or the first failed
+// plan's error under its name.
+func (s *planSet) reports(ctx context.Context, opt Options) ([][]*core.Report, error) {
+	reports, errs := core.RunReports(ctx, s.plans, opt.Runs, opt.Workers, opt.Seed)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", s.names[i], err)
+		}
+	}
+	return reports, nil
 }
 
 // ---- Table I ----
@@ -231,8 +272,7 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the six Table II applications through both models on 16-ion
-// chains. Applications are independent data points and run across the
-// worker pool.
+// chains. Every application's trials run in one call to core's trial loop.
 func Fig6(opt Options) (*Fig6Result, error) {
 	return Fig6Context(context.Background(), opt)
 }
@@ -240,29 +280,26 @@ func Fig6(opt Options) (*Fig6Result, error) {
 // Fig6Context is Fig6 with cancellation.
 func Fig6Context(ctx context.Context, opt Options) (*Fig6Result, error) {
 	opt = opt.normalized()
-	res := &Fig6Result{}
 	specs := apps.PaperSpecs()
-	res.Rows = make([]Fig6Row, len(specs))
-	err := pool.Run(ctx, opt.Workers, len(specs), func(i int) error {
-		spec := specs[i]
-		// The pool budget is spent across applications here; per-point
-		// trials run serially to avoid nesting worker pools.
-		cfg := opt.baseConfig(spec, 16)
-		cfg.Workers = 1
-		rep, err := core.RunContext(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("expt: fig6 %s: %w", spec.Name, err)
+	var set planSet
+	for _, spec := range specs {
+		if err := set.add("expt: fig6 "+spec.Name, opt.baseConfig(spec, 16), "random", opt.Latencies); err != nil {
+			return nil, err
 		}
-		res.Rows[i] = Fig6Row{
+	}
+	reports, err := set.reports(ctx, opt)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig6Result{}
+	for i, spec := range specs {
+		rep := reports[i][0]
+		res.Rows = append(res.Rows, Fig6Row{
 			App:      spec.Name,
 			Serial:   rep.Serial,
 			Parallel: rep.Parallel,
 			Speedup:  rep.MeanSpeedup(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
 	var serials, parallels, speedups []float64
 	for _, row := range res.Rows {
@@ -337,8 +374,8 @@ type Fig7Result struct {
 
 // Fig7 sweeps chain length over the application suite, parallel model only
 // (the paper disregards the serial model here as consistently worse). The
-// (application × chain length) product forms independent data points that
-// run across the worker pool.
+// trials of every (application, chain length) point run in one call to
+// core's trial loop.
 func Fig7(opt Options) (*Fig7Result, error) {
 	return Fig7Context(context.Background(), opt)
 }
@@ -348,21 +385,22 @@ func Fig7Context(ctx context.Context, opt Options) (*Fig7Result, error) {
 	opt = opt.normalized()
 	res := &Fig7Result{ChainLengths: Fig7ChainLengths}
 	specs := apps.PaperSpecs()
-	nL := len(res.ChainLengths)
-	cells := make([]stats.Summary, len(specs)*nL)
-	err := pool.Run(ctx, opt.Workers, len(cells), func(i int) error {
-		spec, L := specs[i/nL], res.ChainLengths[i%nL]
-		cfg := opt.baseConfig(spec, L)
-		cfg.Workers = 1
-		rep, err := core.RunContext(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("expt: fig7 %s L=%d: %w", spec.Name, L, err)
+	var set planSet
+	for _, spec := range specs {
+		for _, L := range res.ChainLengths {
+			if err := set.add(fmt.Sprintf("expt: fig7 %s L=%d", spec.Name, L), opt.baseConfig(spec, L), "random", opt.Latencies); err != nil {
+				return nil, err
+			}
 		}
-		cells[i] = rep.Parallel
-		return nil
-	})
+	}
+	reports, err := set.reports(ctx, opt)
 	if err != nil {
 		return nil, err
+	}
+	nL := len(res.ChainLengths)
+	cells := make([]stats.Summary, len(reports))
+	for i, reps := range reports {
+		cells[i] = reps[0].Parallel
 	}
 	var improvements []float64
 	for si, spec := range specs {
@@ -464,63 +502,47 @@ func scalingAlphaLats(base perf.Latencies) []perf.Latencies {
 }
 
 // runScaling executes the scaling study for the given spec generator. Each
-// spec contributes one worker-pool job per chain length plus a single α-sweep
-// job: the six α cells differ only in WeakPenalty, so they share one pass of
-// placement, synthesis, and gate classification through core.RunSweepContext
-// and re-price just the timing model per α (RunSweep(cfg, lats)[j] is pinned
-// bit-identical to Run with cfg.Latencies = lats[j], which is exactly what
-// the per-α cells computed before). Aggregation happens afterwards in
-// deterministic order, so results are identical at any worker count.
+// spec contributes one plan per chain length plus one α plan: the six α
+// cells differ only in WeakPenalty, so they share one pass of placement,
+// synthesis, and gate classification per trial and re-price just the
+// timing model per α lane. Every plan's trials run in one call to core's
+// trial loop, and aggregation happens afterwards in deterministic order, so
+// results are identical at any worker count.
 func runScaling(ctx context.Context, name string, opt Options, specs []circuit.Spec) (*ScalingResult, error) {
 	opt = opt.normalized()
 	res := &ScalingResult{Name: name}
-	nChain, nAlpha := len(ScalingChainLengths), len(ScalingAlphas)
-	perSpec := nChain + nAlpha
+	nChain := len(ScalingChainLengths)
 	alphaLats := scalingAlphaLats(opt.Latencies)
-	cells := make([]stats.Summary, len(specs)*perSpec)
-	jobsPerSpec := nChain + 1 // chain cells, plus one sweep covering every α
-	err := pool.Run(ctx, opt.Workers, len(specs)*jobsPerSpec, func(i int) error {
-		si, k := i/jobsPerSpec, i%jobsPerSpec
-		spec := specs[si]
-		if k < nChain {
-			L := ScalingChainLengths[k]
-			cfg := opt.baseConfig(spec, L)
-			cfg.Workers = 1
-			rep, err := core.RunContext(ctx, cfg)
-			if err != nil {
-				return fmt.Errorf("expt: %s chain L=%d %s: %w", name, L, spec.Name, err)
+	var set planSet
+	for _, spec := range specs {
+		for _, L := range ScalingChainLengths {
+			if err := set.add(fmt.Sprintf("expt: %s chain L=%d %s", name, L, spec.Name), opt.baseConfig(spec, L), "random", opt.Latencies); err != nil {
+				return nil, err
 			}
-			cells[si*perSpec+k] = rep.Parallel
-			return nil
 		}
-		cfg := opt.baseConfig(spec, 32)
-		cfg.Workers = 1
-		reps, err := core.RunSweepContext(ctx, cfg, alphaLats)
-		if err != nil {
-			return fmt.Errorf("expt: %s alpha sweep %s: %w", name, spec.Name, err)
+		if err := set.add(fmt.Sprintf("expt: %s alpha sweep %s", name, spec.Name), opt.baseConfig(spec, 32), "random", alphaLats...); err != nil {
+			return nil, err
 		}
-		for j, rep := range reps {
-			cells[si*perSpec+nChain+j] = rep.Parallel
-		}
-		return nil
-	})
+	}
+	reports, err := set.reports(ctx, opt)
 	if err != nil {
 		return nil, err
 	}
+	// Each spec's cells are its chain plans' lanes, then its α plan's.
+	var cells []stats.Summary
+	for _, reps := range reports {
+		for _, rep := range reps {
+			cells = append(cells, rep.Parallel)
+			if sp := rep.Parallel.RelativeSpread(); sp > res.MaxRelSpread {
+				res.MaxRelSpread = sp
+			}
+		}
+	}
+	perSpec := nChain + len(ScalingAlphas)
 	for si, spec := range specs {
 		res.Qubits = append(res.Qubits, spec.Qubits)
 		chainRow := cells[si*perSpec : si*perSpec+nChain]
 		alphaRow := cells[si*perSpec+nChain : (si+1)*perSpec]
-		for _, s := range chainRow {
-			if sp := s.RelativeSpread(); sp > res.MaxRelSpread {
-				res.MaxRelSpread = sp
-			}
-		}
-		for _, s := range alphaRow {
-			if sp := s.RelativeSpread(); sp > res.MaxRelSpread {
-				res.MaxRelSpread = sp
-			}
-		}
 		res.ByChain = append(res.ByChain, chainRow)
 		res.ByAlpha = append(res.ByAlpha, alphaRow)
 		chainImp := 0.0

@@ -1,11 +1,12 @@
 package expt
 
-// Driver-level bit-exactness pins for the extension studies' batched
-// pricing: each test re-derives a study's numbers with the per-item
-// kernels the drivers used before batching (Model.EstimateBinding per
-// trial, ParallelTimeConstrained per level) and requires float equality,
-// not tolerance. The kernel-level contracts are pinned in the fidelity
-// and perf packages; these tests pin the drivers' wiring on top.
+// Driver-level bit-exactness pins for the extension studies: each test
+// re-derives a study's numbers with a serial per-trial loop over the
+// per-item kernels (Model.EstimateBinding per trial,
+// ParallelTimeConstrained per level) and requires float equality, not
+// tolerance. The kernel-level contracts are pinned in the fidelity and
+// perf packages; these tests pin the drivers' wiring on top: the plan
+// loop's per-trial slots and the reduction in trial order.
 
 import (
 	"math"

@@ -34,7 +34,6 @@ type Estimator struct {
 
 	times []float64
 	ests  []Estimate
-	one   [1]perf.Latencies
 }
 
 // NewEstimator validates m and tabulates its per-class terms.
@@ -113,15 +112,4 @@ func (e *Estimator) EstimateAll(b *perf.Binding, lats []perf.Latencies) ([]Estim
 		e.ests[j] = est
 	}
 	return e.ests, nil
-}
-
-// EstimateOne is EstimateAll for a single timing model, returning the
-// estimate by value. It equals Model.EstimateBinding(b, lat) bit for bit.
-func (e *Estimator) EstimateOne(b *perf.Binding, lat perf.Latencies) (Estimate, error) {
-	e.one[0] = lat
-	ests, err := e.EstimateAll(b, e.one[:])
-	if err != nil {
-		return Estimate{}, err
-	}
-	return ests[0], nil
 }

@@ -63,11 +63,6 @@ func TestEstimateAllMatchesEstimateBinding(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameEstimate(t, "EstimateAll lane", ests[j], want)
-			one, err := e.EstimateOne(b, lat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEstimate(t, "EstimateOne", one, want)
 		}
 	}
 }
