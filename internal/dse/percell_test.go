@@ -92,7 +92,7 @@ func ExplorePerCell(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 		return nil, err
 	}
 	points := make([]Point, len(cells))
-	err = pool.Run(ctx, opt.Workers, len(cells), func(i int) error {
+	errs := pool.RunAll(ctx, opt.Workers, len(cells), func(i int) error {
 		p, err := explorePoint(spec, opt, cells[i])
 		if err != nil {
 			return err
@@ -100,8 +100,11 @@ func ExplorePerCell(ctx context.Context, spec circuit.Spec, opt Options) ([]Poin
 		points[i] = p
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	// The first error in cell order, the same at every worker count.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return points, nil
 }

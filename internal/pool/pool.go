@@ -1,9 +1,9 @@
-// Package pool provides the bounded worker-pool runner shared by
-// VelociTI's trial loop (internal/core), experiment drivers
-// (internal/expt), and design-space explorer (internal/dse).
+// Package pool provides the bounded worker-pool runner behind VelociTI's
+// trial loop (internal/core), which runs every sweep, exploration and
+// experiment driver.
 //
-// All three layers have the same shape: n independent, CPU-bound jobs
-// whose results land in index-addressed slots. Run executes them across a
+// The loop's jobs are n independent, CPU-bound (plan, trial) jobs whose
+// results land in index-addressed slots. RunAll executes them across a
 // bounded set of goroutines while keeping outputs deterministic — callers
 // derive any randomness from the job index (stats.SplitSeed), so results
 // are bit-identical at every worker count, a property the test suites pin.
@@ -11,9 +11,8 @@
 // Jobs are panic-isolated: a panic inside fn is recovered and converted
 // into a *PanicError carrying the offending index, the panic value, and
 // the goroutine stack, so one crashing job cannot take down the process
-// or silently strand sibling workers. Run keeps its lowest-index-error
-// semantics for such errors; RunAll collects one error per job so callers
-// can degrade gracefully on partial failure.
+// or silently strand sibling workers. RunAll collects one error per job,
+// so callers can degrade gracefully on partial failure.
 package pool
 
 import (
@@ -38,7 +37,7 @@ var (
 // Counters is a point-in-time snapshot of the pool's process-wide
 // totals.
 type Counters struct {
-	// Batches counts Run/RunAll invocations that had work to do.
+	// Batches counts RunAll invocations that had work to do.
 	Batches uint64 `json:"batches"`
 	// Jobs counts individual job executions across all batches.
 	Jobs uint64 `json:"jobs"`
@@ -55,8 +54,7 @@ func Stats() Counters {
 	}
 }
 
-// PanicError is the error produced when a job passed to Run or RunAll
-// panics. It records which job crashed, the recovered value, and the stack
+// PanicError is the error produced when a job passed to RunAll panics. It records which job crashed, the recovered value, and the stack
 // captured at the panic site, so the report points at the bug rather than
 // at the pool machinery.
 type PanicError struct {
@@ -83,94 +81,22 @@ func safeCall(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// Run executes fn(i) for every i in [0, n), using at most workers
+// RunAll executes fn(i) for every i in [0, n), using at most workers
 // concurrent goroutines. workers is additionally bounded by n and by
 // GOMAXPROCS (the jobs are CPU-bound; more goroutines only add scheduling
 // noise); workers <= 1 runs everything inline on the calling goroutine.
 //
 // fn must write its result into an index-addressed slot rather than shared
-// state; distinct indices never race. When any fn returns an error (or
-// panics — see PanicError), the lowest-indexed error among all executed
-// jobs is returned — the same error the serial order would surface — and
-// remaining jobs may be skipped. When ctx is cancelled, Run stops
-// dispatching and returns ctx.Err() (unless a job error with a lower index
-// was already recorded).
-func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	batchCount.Add(1)
-	if workers > n {
-		workers = n
-	}
-	if p := runtime.GOMAXPROCS(0); workers > p {
-		workers = p
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := safeCall(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		mu      sync.Mutex
-		firstI  = n
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if i < firstI {
-			firstI, firstEr = i, err
-		}
-		mu.Unlock()
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := safeCall(fn, i); err != nil {
-					record(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
-	}
-	return ctx.Err()
-}
-
-// RunAll executes fn(i) for every i in [0, n) like Run, but never stops
-// early on job failure: every job runs, and the result is a per-index
-// error slice (nil on success, the job's error or *PanicError otherwise),
-// or nil when every job succeeded. Use it when one bad job should degrade
-// into one failed slot — e.g. a sweep where one malformed configuration
-// must not discard the other data points.
+// state; distinct indices never race. RunAll never stops early on job
+// failure: every job runs, and the result is a per-index error slice (nil
+// on success, the job's error or *PanicError otherwise), or nil when every
+// job succeeded. So one bad job degrades into one failed slot, and a
+// caller that wants a single error takes the first in index order — the
+// same at every worker count.
 //
 // Context cancellation still short-circuits: jobs not yet started are
 // marked with ctx.Err() and the slice is returned as soon as in-flight
-// jobs drain. Determinism is preserved exactly as in Run — errs[i] depends
-// only on fn(i), never on scheduling order.
+// jobs drain. errs[i] depends only on fn(i), never on scheduling order.
 func RunAll(ctx context.Context, workers, n int, fn func(i int) error) []error {
 	if n <= 0 {
 		return nil

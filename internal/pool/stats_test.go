@@ -9,9 +9,8 @@ import (
 // The process-wide counters are monotonic totals, so tests assert deltas.
 func TestStatsCounters(t *testing.T) {
 	before := Stats()
-	err := Run(context.Background(), 4, 10, func(i int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	if errs := RunAll(context.Background(), 4, 10, func(i int) error { return nil }); errs != nil {
+		t.Fatal(errs)
 	}
 	errs := RunAll(context.Background(), 2, 3, func(i int) error {
 		if i == 1 {
