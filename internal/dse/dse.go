@@ -49,6 +49,14 @@ type Point struct {
 	WeakGates      float64 `json:"weak_gates"`
 }
 
+// Response is an exploration's outcome as velociti-serve answers it: every
+// evaluated point in canonical (ChainLength, Alpha, Placer, Backend) order
+// plus the Pareto frontier over (time, log-fidelity).
+type Response struct {
+	Points []Point `json:"points"`
+	Pareto []Point `json:"pareto"`
+}
+
 // Dominates reports whether p is at least as good as q on both axes and
 // strictly better on one (lower time, higher log-fidelity).
 func (p Point) Dominates(q Point) bool {

@@ -9,6 +9,7 @@ import (
 	"velociti/internal/perf"
 	"velociti/internal/placement"
 	"velociti/internal/stats"
+	"velociti/internal/verr"
 )
 
 func spec() circuit.Spec {
@@ -168,6 +169,19 @@ func TestExploreValidation(t *testing.T) {
 	}
 	if _, err := Explore(spec(), Options{Placers: []string{"bogus"}}); err == nil {
 		t.Errorf("unknown placer should fail")
+	}
+}
+
+// TestExploreRejectsBadInput: a bad spec or placer name is an input-kind
+// error, which velociti-serve answers with 400.
+func TestExploreRejectsBadInput(t *testing.T) {
+	_, err := Explore(circuit.Spec{Name: "bad", Qubits: -1}, Options{})
+	if !verr.IsInput(err) {
+		t.Fatalf("err = %v, want input-kind", err)
+	}
+	_, err = Explore(circuit.Spec{Name: "p", Qubits: 8, TwoQubitGates: 8}, Options{Placers: []string{"no-such-placer"}})
+	if !verr.IsInput(err) {
+		t.Fatalf("placer err = %v, want input-kind", err)
 	}
 }
 

@@ -103,6 +103,9 @@ func TestSweepMatchesCLIBytes(t *testing.T) {
 	}
 }
 
+// TestExploreMatchesRequestRunBytes: a /v1/explore body is byte-identical
+// to running the request's grid as a library call, ExploreContext then
+// Pareto, encoded as a dse.Response.
 func TestExploreMatchesRequestRunBytes(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	body := `{"spec": {"name": "eq", "qubits": 10, "two_qubit_gates": 5}, "chain_lengths": [8, 16],
@@ -112,25 +115,24 @@ func TestExploreMatchesRequestRunBytes(t *testing.T) {
 		t.Fatalf("explore = %d\n%s", resp.StatusCode, got)
 	}
 
-	out, err := dse.Request{
-		Spec:         circuit.Spec{Name: "eq", Qubits: 10, TwoQubitGates: 5},
+	points, err := dse.ExploreContext(context.Background(), circuit.Spec{Name: "eq", Qubits: 10, TwoQubitGates: 5}, dse.Options{
 		ChainLengths: []int{8, 16},
 		Alphas:       []float64{2.0, 1.0},
 		Placers:      []string{"random", "load-balanced"},
 		Runs:         3,
 		Seed:         2,
 		Workers:      1,
-	}.Run(context.Background(), nil)
+	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("ExploreContext: %v", err)
 	}
-	want, err := json.MarshalIndent(out, "", "  ")
+	want, err := json.MarshalIndent(dse.Response{Points: points, Pareto: dse.Pareto(points)}, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	want = append(want, '\n')
 	if !bytes.Equal(got, want) {
-		t.Errorf("response differs from dse.Request bytes:\n got: %s\nwant: %s", got, want)
+		t.Errorf("response differs from ExploreContext + Pareto bytes:\n got: %s\nwant: %s", got, want)
 	}
 }
 

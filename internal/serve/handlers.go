@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"velociti/internal/core"
+	"velociti/internal/dse"
 	"velociti/internal/verr"
 )
 
@@ -242,11 +243,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	req = req.normalize()
 	workers := s.workers(req.execKnobs.Workers)
 	s.serveRequest(w, r, m, req.key(), req.timeout(s.opt.RequestTimeout), func(ctx context.Context) *response {
-		resp, err := req.request(workers).Run(ctx, s.pipeline)
+		points, err := dse.ExploreContext(ctx, req.Spec, req.options(workers, s.pipeline))
 		if err != nil {
 			return s.errorResponse(err)
 		}
-		body, err := encodeIndentedJSON(resp)
+		body, err := encodeIndentedJSON(dse.Response{Points: points, Pareto: dse.Pareto(points)})
 		if err != nil {
 			return s.errorResponse(err)
 		}

@@ -223,10 +223,9 @@ func (r SweepRequest) grid(workers int, pipeline *core.Pipeline) (core.Grid, err
 }
 
 // ExploreRequest is the POST /v1/explore body: a design-space exploration
-// in the dse.Request shape (spec + grid knobs), answered with every point
-// and the Pareto frontier. The grid fields mirror dse.Request; the
-// execution knobs live here so "workers" means the same thing on every
-// endpoint.
+// (spec + grid knobs), answered with every point and the Pareto frontier
+// as a dse.Response. The grid fields mirror dse.Options; the execution
+// knobs live here so "workers" means the same thing on every endpoint.
 type ExploreRequest struct {
 	// Spec is the workload's boundary conditions.
 	Spec circuit.Spec `json:"spec"`
@@ -277,11 +276,10 @@ func (r ExploreRequest) key() string {
 	return canonicalKey("explore", r)
 }
 
-// request lowers onto the dse entry point with the effective worker
-// count.
-func (r ExploreRequest) request(workers int) dse.Request {
-	return dse.Request{
-		Spec:         r.Spec,
+// options lowers the grid onto the explorer with the effective worker
+// count and the shared pipeline.
+func (r ExploreRequest) options(workers int, pipeline *core.Pipeline) dse.Options {
+	return dse.Options{
 		ChainLengths: r.ChainLengths,
 		Alphas:       r.Alphas,
 		Placers:      r.Placers,
@@ -290,6 +288,7 @@ func (r ExploreRequest) request(workers int) dse.Request {
 		Runs:         r.Runs,
 		Seed:         r.Seed,
 		Workers:      workers,
+		Pipeline:     pipeline,
 	}
 }
 
