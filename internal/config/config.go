@@ -142,12 +142,7 @@ func (p Params) toCoreConfig(c *circuit.Circuit, prog *circuit.Program) (core.Co
 	if err != nil {
 		return core.Config{}, err
 	}
-	if p.Shuttle != nil {
-		if err := p.Shuttle.Validate(); err != nil {
-			return core.Config{}, err
-		}
-	}
-	backend, err := shuttle.ByName(p.Backend, p.ShuttleParams())
+	backend, err := shuttle.Resolve(p.Backend, p.Shuttle)
 	if err != nil {
 		return core.Config{}, err
 	}

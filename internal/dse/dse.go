@@ -137,33 +137,11 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// shuttleParams resolves the effective transport costs for the shuttle
-// backend axis.
-func (o Options) shuttleParams() shuttle.Params {
-	if o.Shuttle != nil {
-		return *o.Shuttle
-	}
-	return shuttle.Default()
-}
-
-// validateShuttle rejects configured transport costs that are unusable,
-// even when no grid cell selects the shuttle backend — mirroring
-// config.Params, which validates the shuttle block whenever present.
-func (o Options) validateShuttle() error {
-	if o.Shuttle != nil {
-		return o.Shuttle.Validate()
-	}
-	return nil
-}
-
 // lower lowers the grid onto core's trial loop: one plan per (chain
 // length, placer, backend) in canonical order, whose lanes price Alphas in
-// order. Device, placer-name, backend-name, and timing-model errors surface
-// before any trial runs.
+// order. Device, transport-cost, backend-name, placer-name, and
+// timing-model errors surface before any trial runs.
 func (o Options) lower(spec circuit.Spec) ([]*core.Plan, error) {
-	if err := o.validateShuttle(); err != nil {
-		return nil, err
-	}
 	lats := make([]perf.Latencies, len(o.Alphas))
 	for ai, alpha := range o.Alphas {
 		lats[ai] = o.Latencies
@@ -176,7 +154,7 @@ func (o Options) lower(spec circuit.Spec) ([]*core.Plan, error) {
 		}
 		for _, placerName := range o.Placers {
 			for _, backendName := range o.Backends {
-				backend, err := shuttle.ByName(backendName, o.shuttleParams())
+				backend, err := shuttle.Resolve(backendName, o.Shuttle)
 				if err != nil {
 					return nil, err
 				}

@@ -32,12 +32,9 @@ type gridCell struct {
 }
 
 // grid resolves the full (ChainLength × Alpha × Placer × Backend) product
-// up front, surfacing device, placer-name, and backend-name errors before
-// any trial runs.
+// up front, surfacing device, placer-name, transport-cost, and
+// backend-name errors before any trial runs.
 func (o Options) grid(spec circuit.Spec) ([]gridCell, error) {
-	if err := o.validateShuttle(); err != nil {
-		return nil, err
-	}
 	cells := make([]gridCell, 0, len(o.ChainLengths)*len(o.Alphas)*len(o.Placers)*len(o.Backends))
 	for _, L := range o.ChainLengths {
 		device, err := ti.DeviceFor(spec.Qubits, L, ti.Ring)
@@ -53,7 +50,7 @@ func (o Options) grid(spec circuit.Spec) ([]gridCell, error) {
 					return nil, err
 				}
 				for _, backendName := range o.Backends {
-					backend, err := shuttle.ByName(backendName, o.shuttleParams())
+					backend, err := shuttle.Resolve(backendName, o.Shuttle)
 					if err != nil {
 						return nil, err
 					}

@@ -194,16 +194,7 @@ func (r SweepRequest) grid(workers int, pipeline *core.Pipeline) (core.Grid, err
 	if err != nil {
 		return core.Grid{}, err
 	}
-	if r.Shuttle != nil {
-		if err := r.Shuttle.Validate(); err != nil {
-			return core.Grid{}, err
-		}
-	}
-	sp := shuttle.Default()
-	if r.Shuttle != nil {
-		sp = *r.Shuttle
-	}
-	backend, err := shuttle.ByName(r.Backend, sp)
+	backend, err := shuttle.Resolve(r.Backend, r.Shuttle)
 	if err != nil {
 		return core.Grid{}, err
 	}
