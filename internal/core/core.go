@@ -91,9 +91,10 @@ type Config struct {
 	// memory independent of the gate count. Results are bit-identical to
 	// the materialized path except that per-trial critical paths are not
 	// recovered (Result.CriticalPath stays empty — reconstructing the
-	// argmax path needs memory linear in the gate count). Requires a
-	// backend implementing perf.SourceTimer and, in spec mode, a placer
-	// implementing schedule.StreamPlacer; Validate rejects the rest.
+	// argmax path needs memory linear in the gate count). In spec mode a
+	// placer that searches layouts (schedule.LayoutSearcher) cannot
+	// stream, and Validate rejects it. A streamed Program is never cached:
+	// its body is opaque, so it has no content key.
 	Stream bool
 }
 
@@ -176,20 +177,12 @@ func (c Config) Validate() error {
 	if err := n.Backend.Validate(); err != nil {
 		return err
 	}
-	if n.Stream {
-		if _, ok := n.Backend.(perf.SourceTimer); !ok {
-			return verr.Inputf("core: timing backend %q cannot stream (no StreamTimeAll); disable Stream or pick a streaming backend", n.Backend.CacheKey())
-		}
-		if n.Circuit == nil && n.Program == nil {
-			// Spec mode streams through the placer's emitter; placers
-			// that search layouts need the materialized circuit (the
-			// annealer's incidence structure), so they cannot stream.
-			if _, ok := n.Placer.(schedule.LayoutSearcher); ok {
-				return verr.Inputf("core: placer %T searches layouts over a materialized circuit and cannot stream; disable Stream or pick a non-searching placer", n.Placer)
-			}
-			if _, ok := n.Placer.(schedule.StreamPlacer); !ok {
-				return verr.Inputf("core: placer %T cannot stream (no EmitPlace); disable Stream or pick a streaming placer", n.Placer)
-			}
+	if n.Stream && n.Circuit == nil && n.Program == nil {
+		// Spec mode streams through the placer's emitter; placers that
+		// search layouts need the materialized circuit (the annealer's
+		// incidence structure), so they cannot stream.
+		if _, ok := n.Placer.(schedule.LayoutSearcher); ok {
+			return verr.Inputf("core: placer %T searches layouts over a materialized circuit and cannot stream; disable Stream or pick a non-searching placer", n.Placer)
 		}
 	}
 	return nil

@@ -28,7 +28,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"velociti/internal/cache"
 	"velociti/internal/circuit"
@@ -108,12 +107,9 @@ type Stages struct {
 	// bindKey is the canonical bind-cache key prefix ("" = not
 	// cacheable); the trial seed is appended per artifact.
 	bindKey string
-	// streamKey is the streaming-evaluation prefix (stream.go); in
-	// Program mode it lacks the content component until progFP learns the
-	// program's fingerprint from the first keyed evaluation. progFP is
-	// non-nil only in Program mode with a stream key, and 0 until learned.
+	// streamKey is the streaming-evaluation prefix (stream.go; "" = not
+	// cacheable, always so in Program mode).
 	streamKey string
-	progFP    *atomic.Uint64
 
 	// Key components retained for BindAll, which rebuilds the bind prefix
 	// per sweep lane (the placer fingerprint varies with the lane's timing
@@ -158,7 +154,9 @@ func newStages(cfg Config, spec circuit.Spec, device *ti.Device) *Stages {
 	if cfg.Circuit != nil {
 		s.shared = perf.NewEvaluator(cfg.Circuit)
 	}
-	if s.pl == nil {
+	if s.pl == nil || cfg.Program != nil {
+		// A Program (always streaming: materialized runs convert it to a
+		// Circuit up front) has an opaque body, so nothing keys it.
 		return s
 	}
 	polKey, ok := policyKey(cfg.Placement)
@@ -176,15 +174,6 @@ func newStages(cfg Config, spec circuit.Spec, device *ti.Device) *Stages {
 		fp := cfg.Circuit.Fingerprint()
 		s.bindKey = fmt.Sprintf("bind|%s|circ=%016x|pol=%s", dev, fp, polKey) + s.keyBackend
 		s.streamKey = fmt.Sprintf("stream|%s|circ=%016x|pol=%s", dev, fp, polKey) + s.keyBackend
-		return s
-	}
-	if cfg.Program != nil {
-		// Program mode (always streaming — materialized runs convert the
-		// program to a Circuit up front): the body is opaque, so the
-		// content component of the stream key is learned, not derived.
-		// streamEvalKey appends it once progFP is populated.
-		s.streamKey = fmt.Sprintf("stream|%s|q%d|pol=%s", dev, spec.Qubits, polKey) + s.keyBackend
-		s.progFP = new(atomic.Uint64)
 		return s
 	}
 	s.keyWorkload = fmt.Sprintf("spec=%q/q%d/1q%d/2q%d", spec.Name, spec.Qubits, spec.OneQubitGates, spec.TwoQubitGates)

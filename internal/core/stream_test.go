@@ -20,7 +20,6 @@ import (
 	"velociti/internal/perf"
 	"velociti/internal/schedule"
 	"velociti/internal/shuttle"
-	"velociti/internal/ti"
 	"velociti/internal/verr"
 )
 
@@ -33,8 +32,7 @@ func stripReportPaths(rep *core.Report) *core.Report {
 	return rep
 }
 
-// streamBackends returns the two shipped timing backends; both implement
-// perf.SourceTimer.
+// streamBackends returns the two shipped timing backends.
 func streamBackends() map[string]perf.TimingBackend {
 	return map[string]perf.TimingBackend{
 		"weaklink": perf.WeakLink{},
@@ -160,13 +158,17 @@ func TestStreamGridMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamPipelineCaches: a second identical streaming run over a
-// shared Pipeline must hit the stream cache instead of recomputing — in
-// Program mode via the content fingerprint learned from the first run's
-// rolling hash.
+// shared Pipeline must hit the stream cache instead of recomputing. A
+// Program has no content key, so its runs store nothing and report exactly
+// what an unpiped run does.
 func TestStreamPipelineCaches(t *testing.T) {
 	for mode, cfg := range streamConfigs(t) {
 		pl := core.NewPipeline()
 		cfg.Stream = true
+		unpiped, err := core.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s unpiped run: %v", mode, err)
+		}
 		cfg.Pipeline = pl
 		first, err := core.Run(cfg)
 		if err != nil {
@@ -176,80 +178,21 @@ func TestStreamPipelineCaches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s second run: %v", mode, err)
 		}
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("%s: cached streaming run diverges from the first", mode)
+		if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, unpiped) {
+			t.Fatalf("%s: piped streaming runs diverge from the unpiped one", mode)
 		}
 		st := pl.Stats().Stream
-		wantHits := uint64(cfg.Runs)
 		if mode == "program" {
-			// Each run's Stages learns the program fingerprint from its
-			// own first evaluation, so the second run recomputes one
-			// trial before the cache key exists and hits the rest.
-			wantHits = uint64(cfg.Runs - 1)
+			if st.Hits != 0 || st.Entries != 0 {
+				t.Fatalf("program: %d stream hits and %d entries, want none", st.Hits, st.Entries)
+			}
+			continue
 		}
-		if st.Hits < wantHits {
-			t.Fatalf("%s: stream cache hits = %d, want >= %d", mode, st.Hits, wantHits)
+		if st.Hits < uint64(cfg.Runs) {
+			t.Fatalf("%s: stream cache hits = %d, want >= %d", mode, st.Hits, cfg.Runs)
 		}
 		if st.Entries == 0 {
 			t.Fatalf("%s: stream cache retained nothing", mode)
-		}
-	}
-}
-
-// TestStreamProgramsKeyByContent: two Programs with the same Name and
-// Qubits but different bodies share one Pipeline. Each run learns its own
-// program's fingerprint from its first trial, so the second program's cold
-// run hits none of the first's stream entries and prices differently, and
-// a warm run of either hits only its own entries (Runs−1 hits each).
-func TestStreamProgramsKeyByContent(t *testing.T) {
-	const n = 12
-	chain := circuit.Program{Name: "same", Qubits: n, Body: func(b circuit.Builder) {
-		for q := 0; q+1 < n; q++ {
-			b.CX(q, q+1) // one dependency chain: depth n−1
-		}
-	}}
-	layered := circuit.Program{Name: "same", Qubits: n, Body: func(b circuit.Builder) {
-		for q := 0; q+1 < n; q += 2 {
-			b.CX(q, q+1)
-		}
-		for q := 1; q+1 < n; q += 2 {
-			b.CX(q, q+1) // the same n−1 gates in two layers
-		}
-	}}
-	pl := core.NewPipeline()
-	run := func(p *circuit.Program, workers int) *core.Report {
-		t.Helper()
-		rep, err := core.Run(core.Config{Program: p, ChainLength: 4, Runs: 4, Seed: 17, Workers: workers, Stream: true, Pipeline: pl})
-		if err != nil {
-			t.Fatalf("%s run: %v", p.Name, err)
-		}
-		return rep
-	}
-	a := run(&chain, 1)
-	b := run(&layered, 1)
-	if st := pl.Stats().Stream; st.Hits != 0 || st.Entries != 2*len(a.Trials) {
-		t.Fatalf("cold runs of two programs: %d hits and %d entries, want 0 and %d", st.Hits, st.Entries, 2*len(a.Trials))
-	}
-	if a.Spec != b.Spec {
-		t.Fatalf("specs differ: %+v vs %+v", a.Spec, b.Spec)
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Perf.ParallelMicros == b.Trials[i].Perf.ParallelMicros {
-			t.Fatalf("trial %d: both programs price at %v µs", i, a.Trials[i].Perf.ParallelMicros)
-		}
-	}
-	if !reflect.DeepEqual(run(&chain, 1), a) || !reflect.DeepEqual(run(&layered, 1), b) {
-		t.Fatal("a warm run diverges from its cold run")
-	}
-	if st, want := pl.Stats().Stream, uint64(2*(len(a.Trials)-1)); st.Hits != want {
-		t.Fatalf("warm runs: %d stream hits, want %d", st.Hits, want)
-	}
-	// Concurrent trials may each hash before one stores the sum; the
-	// hit count then varies, the reports may not.
-	pl = core.NewPipeline()
-	for k := 0; k < 2; k++ {
-		if !reflect.DeepEqual(run(&chain, 4), a) || !reflect.DeepEqual(run(&layered, 4), b) {
-			t.Fatalf("concurrent run %d diverges from the serial runs", k)
 		}
 	}
 }
@@ -270,13 +213,6 @@ func TestStreamValidateRejects(t *testing.T) {
 		mutate func(*core.Config)
 		want   string
 	}{
-		"backend cannot stream": {
-			mutate: func(c *core.Config) {
-				c.Stream = true
-				c.Backend = bareBackend{}
-			},
-			want: "cannot stream (no StreamTimeAll)",
-		},
 		"searching placer cannot stream": {
 			mutate: func(c *core.Config) {
 				c.Stream = true
@@ -320,14 +256,6 @@ func TestStreamValidateRejects(t *testing.T) {
 		t.Fatalf("RunOnce with Stream: err = %v, want input-kind rejection", err)
 	}
 }
-
-// bareBackend implements perf.TimingBackend without SourceTimer.
-type bareBackend struct{}
-
-func (bareBackend) Name() string                            { return "bare" }
-func (bareBackend) CacheKey() string                        { return "bare" }
-func (bareBackend) Validate() error                         { return nil }
-func (bareBackend) Prepare(*perf.Binding, *ti.Layout) error { return nil }
 
 // TestProgramModeMaterializedRun: a Program without Stream runs through
 // the classic pipeline by materializing once — equal to the explicit

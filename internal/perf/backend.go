@@ -9,14 +9,19 @@ package perf
 // placement, classification — is shared between backends. The weak-link
 // parallel model (WeakLink, the paper's Eq. 1–2 + ASAP DP) is the default
 // and the oracle, and its Prepare attaches nothing; internal/shuttle's
-// Prepare attaches a transport plan and its costs.
+// Prepare attaches a transport plan and its costs. Every backend also
+// prices a gate stream without a Binding (SourceTimer, for core's
+// streaming path) and states its per-gate latency rule for layout search
+// (DeltaWeights, for DeltaEval); no capability is optional.
 
 import (
 	"velociti/internal/circuit"
 	"velociti/internal/ti"
 )
 
-// TimingBackend prepares bound circuits for pricing under its model.
+// TimingBackend prepares bound circuits for pricing under its model,
+// prices gate streams under the same model, and supplies the per-gate
+// weights that layout search folds.
 // Implementations must be immutable values: the backend participates in
 // cache keys (CacheKey) and in the serve layer's request coalescing, so
 // two backends with equal keys must prepare identically.
@@ -39,16 +44,21 @@ type TimingBackend interface {
 	// goroutines, and must be idempotent. The weak-link backend needs
 	// nothing.
 	Prepare(b *Binding, l *ti.Layout) error
+	// SourceTimer prices a gate stream under the backend's model.
+	SourceTimer
+	// DeltaWeights returns the per-class base latencies (indexed by
+	// GateClass) and the per-hop surcharge on ClassTwoQWeak gates under
+	// lat: the per-gate latency rule that incremental re-pricing for
+	// layout search (DeltaEval) folds. A backend whose cross-chain cost
+	// does not depend on hops returns perHop = 0.
+	DeltaWeights(lat Latencies) (base [NumGateClasses]float64, perHop float64, err error)
 }
 
-// SourceTimer is the streaming capability of a timing backend: pricing a
-// gate stream directly, without a materialized circuit or Binding, in
-// memory independent of gate count. Backends that genuinely require
-// materialization simply do not implement it, and core falls back with a
-// typed input error. Entry j of the result must equal Binding.TimeAll's
-// entry j on the materialized circuit, bound and prepared by the same
-// backend, bit for bit, except that CriticalPath is omitted (see
-// internal/perf/stream.go).
+// SourceTimer prices a gate stream directly, without a materialized
+// circuit or Binding, in memory independent of gate count. Entry j of the
+// result must equal Binding.TimeAll's entry j on the materialized
+// circuit, bound and prepared by the same backend, bit for bit, except
+// that CriticalPath is omitted (see internal/perf/stream.go).
 type SourceTimer interface {
 	StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result, StreamStats, error)
 }
@@ -73,13 +83,19 @@ func (WeakLink) Validate() error { return nil }
 // off the gate classes, which is the weak-link model.
 func (WeakLink) Prepare(*Binding, *ti.Layout) error { return nil }
 
-// StreamTimeAll prices a gate stream directly (the SourceTimer
-// capability) via the fold's stream driver in stream.go.
+// StreamTimeAll prices a gate stream directly via the fold's stream
+// driver in stream.go.
 func (WeakLink) StreamTimeAll(src circuit.Source, l *ti.Layout, lats []Latencies) ([]Result, StreamStats, error) {
 	return StreamTimeAll(src, l, lats)
 }
 
-var (
-	_ TimingBackend = WeakLink{}
-	_ SourceTimer   = WeakLink{}
-)
+// DeltaWeights prices classes at δ / γ / α·γ with no hop dependence, so
+// the delta objective equals ParallelTime exactly.
+func (WeakLink) DeltaWeights(lat Latencies) ([NumGateClasses]float64, float64, error) {
+	if err := lat.Validate(); err != nil {
+		return [NumGateClasses]float64{}, 0, err
+	}
+	return classLatencies(lat), 0, nil
+}
+
+var _ TimingBackend = WeakLink{}

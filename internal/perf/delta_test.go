@@ -56,7 +56,7 @@ func deltaReference(t *testing.T, c *circuit.Circuit, l *ti.Layout, backend perf
 	if _, ok := backend.(perf.WeakLink); ok {
 		return perf.ParallelTime(c, l, lat)
 	}
-	base, perHop, err := backend.(perf.DeltaWeigher).DeltaWeights(lat)
+	base, perHop, err := backend.DeltaWeights(lat)
 	if err != nil {
 		t.Fatal(err)
 	}

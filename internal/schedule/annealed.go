@@ -57,6 +57,12 @@ func (p Annealed) Place(spec circuit.Spec, l *ti.Layout, r *rand.Rand) (*circuit
 	return Random{}.Place(spec, l, r)
 }
 
+// EmitPlace implements Placer: Random's gates. The search needs the
+// materialized circuit, so core does not stream this placer.
+func (p Annealed) EmitPlace(spec circuit.Spec, l *ti.Layout, r *rand.Rand, b circuit.Builder) error {
+	return Random{}.EmitPlace(spec, l, r, b)
+}
+
 // SearchLayout implements LayoutSearcher by annealing qubit-swap moves
 // scored with the incremental delta evaluator. The seed fully determines
 // the search; the trial's own RNG stream is untouched.

@@ -17,12 +17,7 @@ func (WeakAvoiding) CacheKey() string { return "weak-avoiding" }
 // CacheKey implements cache.Keyer.
 func (EdgeConstrained) CacheKey() string { return "edge-constrained" }
 
-// CacheKey implements cache.Keyer. Candidates is normalized to its
-// effective value so the zero default and an explicit 8 share artifacts.
+// CacheKey implements cache.Keyer.
 func (pl LoadBalanced) CacheKey() string {
-	k := pl.Candidates
-	if k <= 0 {
-		k = 8
-	}
-	return fmt.Sprintf("load-balanced/%s/k=%d", pl.Latencies.CacheKey(), k)
+	return fmt.Sprintf("load-balanced/%s/k=%d", pl.Latencies.CacheKey(), lbCandidates)
 }

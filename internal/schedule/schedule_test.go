@@ -253,27 +253,25 @@ func TestUniformPairDistribution(t *testing.T) {
 
 func TestOpOrderCountsAndShuffle(t *testing.T) {
 	r := stats.NewRand(5)
-	ops := opOrderInto(nil, spec(4, 30, 70), r)
-	if len(ops) != 100 {
-		t.Fatalf("ops length = %d", len(ops))
+	ops := newOpBits(nil, spec(4, 30, 70), r)
+	if ops.n != 100 {
+		t.Fatalf("ops length = %d", ops.n)
 	}
 	ones, twos := 0, 0
-	for _, a := range ops {
-		switch a {
+	for i := 0; i < ops.n; i++ {
+		switch ops.arity(i) {
 		case 1:
 			ones++
 		case 2:
 			twos++
-		default:
-			t.Fatalf("bad arity %d", a)
 		}
 	}
 	if ones != 30 || twos != 70 {
 		t.Fatalf("counts = %d/%d", ones, twos)
 	}
 	all1 := true
-	for _, a := range ops[:30] {
-		if a != 1 {
+	for i := 0; i < 30; i++ {
+		if ops.arity(i) != 1 {
 			all1 = false
 			break
 		}
@@ -281,15 +279,16 @@ func TestOpOrderCountsAndShuffle(t *testing.T) {
 	if all1 {
 		t.Fatalf("op order does not appear shuffled")
 	}
-	// The packed representation must consume the generator identically:
-	// same seed, same arity sequence.
-	bits := newOpBits(spec(4, 30, 70), stats.NewRand(5))
-	if bits.n != len(ops) {
-		t.Fatalf("opBits length = %d, want %d", bits.n, len(ops))
+	// Reused storage must not leak the previous order: the same seed over
+	// a dirty buffer yields the same arities.
+	dirty := make([]uint64, 2)
+	for i := range dirty {
+		dirty[i] = ^uint64(0)
 	}
-	for i, a := range ops {
-		if bits.arity(i) != a {
-			t.Fatalf("opBits arity[%d] = %d, want %d", i, bits.arity(i), a)
+	again := newOpBits(dirty, spec(4, 30, 70), stats.NewRand(5))
+	for i := 0; i < ops.n; i++ {
+		if again.arity(i) != ops.arity(i) {
+			t.Fatalf("reused storage: arity[%d] = %d, want %d", i, again.arity(i), ops.arity(i))
 		}
 	}
 }

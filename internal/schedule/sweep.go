@@ -12,14 +12,17 @@ package schedule
 //   - LoadBalanced reads the timing model only when COMMITTING a gate, never
 //     when DRAWING candidates: the shuffled op order and the per-gate
 //     candidate samples consume the RNG stream identically for every α. The
-//     multi-lane kernel therefore draws each gate's candidates once and lets
-//     every lane pick its own winner against its own busy-until table.
+//     kernel therefore draws each gate's candidates once and lets every
+//     lane pick its own winner against its own busy-until table. It is
+//     LoadBalanced's only kernel: EmitPlace, and so Place, runs it with one
+//     lane.
 //
 // Bit-exactness contract: PlaceAll(spec, l, r, lats)[j] is identical — gate
 // for gate — to At(lats[j]).Place(spec, l, r2) where r2 is a fresh RNG in
 // the same state r was in, because every lane observes the same draw
 // sequence and applies the same commit rule. The schedule property tests pin
-// this for every placer.
+// this for every placer, and check the load-balanced kernel against a
+// one-lane reference loop kept in test code.
 
 import (
 	"fmt"
@@ -94,34 +97,45 @@ func (pl LoadBalanced) At(lat perf.Latencies) Placer {
 	return pl
 }
 
-// lbScratch is the pooled working memory of one multi-lane load-balanced
-// synthesis: the shuffled op order, the lane-major busy-until tables, the
-// per-lane latency tables, and the per-gate candidate draws shared by all
-// lanes. Ownership: a scratch is held by exactly one PlaceAll call; the
-// synthesized circuits never reference it.
+// lbCandidates is how many qubits (for a 1-qubit gate) or pairs (for a
+// 2-qubit gate) the greedy rule samples per gate. Cache keys record it as
+// "k=8".
+const lbCandidates = 8
+
+// lbScratch is the pooled working memory of one load-balanced synthesis:
+// the op-order bits, the lane builders, the lane-major busy-until tables,
+// the per-lane latency tables, and the per-gate candidate draws shared by
+// all lanes. Ownership: a scratch is held by exactly one EmitPlace or
+// PlaceAll call; the synthesized gates never reference it.
 type lbScratch struct {
-	ops      []int
-	busy     []float64   // lane-major: lane j occupies [j*qubits, (j+1)*qubits)
-	laneBusy [][]float64 // precomputed per-lane views into busy
+	ops      []uint64
+	out      []circuit.Builder // lane j's gates go to out[j]
+	busy     []float64         // lane-major: lane j occupies [j*qubits, (j+1)*qubits)
+	laneBusy [][]float64       // precomputed per-lane views into busy
 	oneQLat  []float64
 	twoQLat  []float64
 	weakLat  []float64
-	drawQ    []int // 1-qubit candidate draws for the current gate
-	drawA    []int // 2-qubit candidate pairs for the current gate
-	drawB    []int
-	sameCh   []bool
+	drawQ    [lbCandidates]int // 1-qubit candidate draws for the current gate
+	drawA    [lbCandidates]int // 2-qubit candidate pairs for the current gate
+	drawB    [lbCandidates]int
+	sameCh   [lbCandidates]bool
 }
 
 var lbPool = sync.Pool{New: func() any { return new(lbScratch) }}
 
-func (s *lbScratch) grow(lanes, qubits, k int) {
+// release drops the lane builders and returns s to the pool.
+func (s *lbScratch) release() {
+	clear(s.out)
+	s.out = s.out[:0]
+	lbPool.Put(s)
+}
+
+func (s *lbScratch) grow(lanes, qubits int) {
 	if cap(s.busy) < lanes*qubits {
 		s.busy = make([]float64, lanes*qubits)
 	}
 	s.busy = s.busy[:lanes*qubits]
-	for i := range s.busy {
-		s.busy[i] = 0
-	}
+	clear(s.busy)
 	if cap(s.laneBusy) < lanes {
 		s.laneBusy = make([][]float64, lanes)
 	}
@@ -137,71 +151,47 @@ func (s *lbScratch) grow(lanes, qubits, k int) {
 	s.oneQLat = s.oneQLat[:lanes]
 	s.twoQLat = s.twoQLat[:lanes]
 	s.weakLat = s.weakLat[:lanes]
-	if cap(s.drawQ) < k {
-		s.drawQ = make([]int, k)
-		s.drawA = make([]int, k)
-		s.drawB = make([]int, k)
-		s.sameCh = make([]bool, k)
-	}
-	s.drawQ = s.drawQ[:k]
-	s.drawA = s.drawA[:k]
-	s.drawB = s.drawB[:k]
-	s.sameCh = s.sameCh[:k]
 }
 
-// PlaceAll implements SweepPlacer: the greedy list scheduler runs for every
-// timing model at once. Per gate, the candidate samples are drawn once from
-// the shared RNG stream, then each lane evaluates them against its own
-// busy-until table and commits its own winner — the only α-dependent step.
-// Lane j is gate-for-gate identical to what LoadBalanced{Latencies: lats[j],
-// Candidates: pl.Candidates}.Place builds from the same stream state; the
-// receiver's own Latencies field is not consulted.
-func (pl LoadBalanced) PlaceAll(spec circuit.Spec, l *ti.Layout, r *rand.Rand, lats []perf.Latencies) ([]*circuit.Circuit, error) {
-	nl := len(lats)
-	if nl == 0 {
-		return nil, fmt.Errorf("schedule: PlaceAll requires at least one timing model")
-	}
+// place is load-balanced synthesis, the one greedy kernel: it runs the
+// greedy list scheduler for every timing model in lats at once and writes
+// lane j's gates to s.out[j]. Per gate, the candidate samples are drawn
+// once from the shared RNG stream, then each lane evaluates them against
+// its own busy-until table and commits its own winner — the only
+// α-dependent step.
+func (s *lbScratch) place(spec circuit.Spec, l *ti.Layout, r *rand.Rand, lats []perf.Latencies) error {
 	if err := validate(spec, l); err != nil {
-		return nil, err
+		return err
 	}
 	for _, lat := range lats {
 		if err := lat.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	k := pl.Candidates
-	if k <= 0 {
-		k = 8
-	}
-	nq := spec.Qubits
-
-	s := lbPool.Get().(*lbScratch)
-	s.grow(nl, nq, k)
+	nl, nq := len(lats), spec.Qubits
+	s.grow(nl, nq)
 	for j, lat := range lats {
 		s.oneQLat[j] = lat.OneQubit
 		s.twoQLat[j] = lat.TwoQubit
-		// One multiply, exactly as Place's latencyOf computes it, so the
-		// committed finish times match bit for bit.
+		// The weak latency is α·γ, one multiply, so every lane's finish
+		// times are the same floats at any lane count.
 		s.weakLat[j] = lat.WeakPenalty * lat.TwoQubit
 	}
-	circs := make([]*circuit.Circuit, nl)
-	for j := range circs {
-		circs[j] = circuit.NewScratch(spec.Name, nq)
-		circs[j].Grow(spec.TotalGates())
-	}
-
-	s.ops = opOrderInto(s.ops, spec, r)
-	drawQ, drawA, drawB, sameCh := s.drawQ[:k], s.drawA[:k], s.drawB[:k], s.sameCh[:k]
-	laneBusy := s.laneBusy
+	ops := newOpBits(s.ops, spec, r)
+	s.ops = ops.bits
+	drawQ, drawA, drawB, sameCh := &s.drawQ, &s.drawA, &s.drawB, &s.sameCh
+	laneBusy, out := s.laneBusy, s.out
 	// Direct chain table: uniformPair's draws are in range by construction,
 	// so the kernel skips SameChain's per-call validation.
 	chainOf := l.ChainAssignments()
-	for _, arity := range s.ops {
-		if arity == 1 {
+	for g := 0; g < ops.n; g++ {
+		if ops.arity(g) == 1 {
 			for i := range drawQ {
 				drawQ[i] = r.Intn(nq)
 			}
 			for j := 0; j < nl; j++ {
+				// The least-busy sampled qubit; the strict < keeps the
+				// first of tied candidates.
 				busy := laneBusy[j]
 				best := drawQ[0]
 				bb := busy[best]
@@ -211,7 +201,7 @@ func (pl LoadBalanced) PlaceAll(spec circuit.Spec, l *ti.Layout, r *rand.Rand, l
 					}
 				}
 				busy[best] = bb + s.oneQLat[j]
-				circs[j].X(best)
+				out[j].X(best)
 			}
 			continue
 		}
@@ -224,8 +214,7 @@ func (pl LoadBalanced) PlaceAll(spec circuit.Spec, l *ti.Layout, r *rand.Rand, l
 			busy := laneBusy[j]
 			// Hoisted lane latencies; the candidate loop starts from
 			// candidate 0's finish so the scan is branch-light. The
-			// strict < keeps the first of tied candidates, exactly as
-			// Place's commit rule does.
+			// strict < keeps the first of tied candidates.
 			tq, wk := s.twoQLat[j], s.weakLat[j]
 			bestA, bestB := drawA[0], drawB[0]
 			bestFinish := busy[bestA]
@@ -254,9 +243,31 @@ func (pl LoadBalanced) PlaceAll(spec circuit.Spec, l *ti.Layout, r *rand.Rand, l
 			}
 			busy[bestA] = bestFinish
 			busy[bestB] = bestFinish
-			circs[j].CX(bestA, bestB)
+			out[j].CX(bestA, bestB)
 		}
 	}
-	lbPool.Put(s)
+	return nil
+}
+
+// PlaceAll implements SweepPlacer: the greedy kernel with one lane per
+// timing model. Lane j is gate-for-gate identical to what
+// LoadBalanced{Latencies: lats[j]}.Place builds from the same stream state;
+// the receiver's own Latencies field is not consulted.
+func (LoadBalanced) PlaceAll(spec circuit.Spec, l *ti.Layout, r *rand.Rand, lats []perf.Latencies) ([]*circuit.Circuit, error) {
+	if len(lats) == 0 {
+		return nil, fmt.Errorf("schedule: PlaceAll requires at least one timing model")
+	}
+	s := lbPool.Get().(*lbScratch)
+	circs := make([]*circuit.Circuit, len(lats))
+	for j := range circs {
+		circs[j] = circuit.NewScratch(spec.Name, spec.Qubits)
+		circs[j].Grow(spec.TotalGates())
+		s.out = append(s.out, circs[j])
+	}
+	err := s.place(spec, l, r, lats)
+	s.release()
+	if err != nil {
+		return nil, err
+	}
 	return circs, nil
 }
